@@ -9,8 +9,9 @@ Three execution modes over the *same* request stream:
 * ``session``     — one :class:`~repro.serve.AllocationSession`
   solving the stream serially, each solve warm-started from the last
   converged exponent vector;
-* ``batch``       — the same session serving the stream through
-  :func:`~repro.serve.solve_batch` on a thread pool.
+* ``batch``       — the same stream through
+  :func:`~repro.serve.solve_stream`: the first request primes the
+  session, the rest warm-start from one snapshot of it.
 
 The workload graph is the paper's Theorem-9 Case-2 stress family
 (``slow_spread``), where convergence genuinely costs Θ(log λ) rounds —
@@ -53,18 +54,22 @@ from repro.graphs.generators import slow_spread_instance
 from repro.serve import AllocationSession, SolveRequest, solve_stream
 from repro.utils.rng import spawn
 
-# Workload sizes: (core_right, width, n_requests, thread workers).
+# Workload sizes: (core_right, width, n_requests).
 _SIZES = {
-    "smoke": (12, 16, 6, 2),
-    "normal": (24, 30, 10, 4),
-    "full": (32, 40, 16, 4),
+    "smoke": (12, 16, 6),
+    "normal": (24, 30, 10),
+    "full": (32, 40, 16),
 }
 _EPSILON = 0.1
 
 
 def build_workload(scale: str):
-    """The shared-graph request stream: capacity updates + ε tweaks."""
-    core, width, n_requests, workers = _SIZES[scale]
+    """The shared-graph request stream: capacity updates + ε tweaks.
+
+    Returns ``(instance, requests, core)``; the capacity updates land
+    on the fringe, right ids ``>= core``.
+    """
+    core, width, n_requests = _SIZES[scale]
     instance = slow_spread_instance(core, width=width)
     requests = []
     n_right = instance.n_right
@@ -78,7 +83,7 @@ def build_workload(scale: str):
         requests.append(
             SolveRequest(capacity_updates=updates, epsilon=epsilon)
         )
-    return instance, requests, workers
+    return instance, requests, core
 
 
 def _cold_loop(instance, requests, seed) -> tuple[list, list]:
@@ -117,10 +122,10 @@ def _latency_digest(latencies) -> dict:
     }
 
 
-def _session_batch(instance, requests, seed, workers) -> tuple[AllocationSession, list]:
+def _session_batch(instance, requests, seed) -> tuple[AllocationSession, list]:
     """Prime with the stream's first request, batch the rest warm."""
     session = AllocationSession(instance, epsilon=_EPSILON, boost=False)
-    results = solve_stream(session, requests, seed=seed, max_workers=workers)
+    results = solve_stream(session, requests, seed=seed)
     return session, results
 
 
@@ -146,9 +151,9 @@ if pytest is not None:
         assert all(r.mpc.certificate.satisfied for r in results)
 
     def test_serving_batch(benchmark, workload):
-        instance, requests, workers = workload
+        instance, requests, _ = workload
         _, results = benchmark.pedantic(
-            lambda: _session_batch(instance, requests, seed=0, workers=workers),
+            lambda: _session_batch(instance, requests, seed=0),
             rounds=1, iterations=1,
         )
         assert len(results) == len(requests)
@@ -158,7 +163,7 @@ if pytest is not None:
 # Script mode: cold vs session vs batch → BENCH_serving.json
 # ----------------------------------------------------------------------
 def run_serving_benchmarks(scale: str) -> dict:
-    instance, requests, workers = build_workload(scale)
+    instance, requests, _ = build_workload(scale)
     n = len(requests)
 
     t0 = time.perf_counter()
@@ -172,7 +177,7 @@ def run_serving_benchmarks(scale: str) -> dict:
     session_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    _, batch_results = _session_batch(instance, requests, seed=0, workers=workers)
+    _, batch_results = _session_batch(instance, requests, seed=0)
     batch_seconds = time.perf_counter() - t0
 
     # Validity: every mode satisfied the λ-free certificate on every
@@ -187,7 +192,7 @@ def run_serving_benchmarks(scale: str) -> dict:
     warm_rounds = [r.mpc.local_rounds for r in warm_results]
     session_speedup = cold_seconds / session_seconds
     payload = {
-        "benchmark": "serving: cold loop vs resident session vs parallel batch",
+        "benchmark": "serving: cold loop vs resident session vs batch",
         "scale": scale,
         "workload": {
             "family": instance.name,
@@ -196,11 +201,6 @@ def run_serving_benchmarks(scale: str) -> dict:
             "n_edges": instance.n_edges,
             "epsilon": _EPSILON,
             "n_requests": n,
-            "batch_workers": workers,
-            # Batch-vs-session scaling is bounded by the host: with one
-            # CPU the thread pool can only interleave, not overlap.
-            # BENCH_sharding.json records the same cpu shape, so the
-            # two curves are comparable host-for-host.
             "cpu_count": os.cpu_count(),
             "cpu": cpu_info(),
         },
@@ -222,9 +222,9 @@ def run_serving_benchmarks(scale: str) -> dict:
             "seconds": round(batch_seconds, 4),
             "requests_per_second": round(n / batch_seconds, 3),
             "primed_then_batched": [1, n - 1],
-            # Per-request latency inside the thread pool is not
-            # individually observable from outside solve_stream;
-            # the sharded bench records worker-side latencies instead.
+            # Per-request latency is not observable from outside
+            # solve_stream; the sharded bench records worker-side
+            # latencies instead.
             "latency": None,
         },
         "session_speedup_over_cold": round(session_speedup, 3),

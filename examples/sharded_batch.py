@@ -1,10 +1,10 @@
 """Sharded serving: a multi-process fleet over shared-memory instances.
 
-The thread-pool batch path (DESIGN.md §8) is GIL-bound; this example
+The in-process batch path (DESIGN.md §8) uses one core; this example
 walks the process tier (DESIGN.md §12): publish instances to shared
 memory once, fork a worker fleet that attaches them zero-copy, route
 requests by instance-content hash, and get back reports that are
-bit-identical to the thread path — at any worker count.
+bit-identical to the in-process path — at any worker count.
 
 Run:  python examples/sharded_batch.py
 """

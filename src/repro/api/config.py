@@ -6,8 +6,8 @@ overrides.  :class:`SolverConfig` is the replacement: a frozen
 dataclass that is the single source of truth for *how* to solve —
 approximation target, kernel backend, MPC substrate, execution mode,
 seed policy, and stage selection — validated eagerly against the
-unified :mod:`repro.registry`, and JSON round-trippable under a
-versioned schema so configurations travel with results.
+backend, substrate and stage registries, and JSON round-trippable
+under a versioned schema so configurations travel with results.
 
 Every field has the historical default, so ``SolverConfig()`` behaves
 exactly like the bare entry points it replaces — the cold-path parity
@@ -23,7 +23,9 @@ from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro import registry
+from repro.core.pipeline import STAGE_FACTORIES, default_stages
+from repro.kernels.backends import available_backends, backend_availability
+from repro.mpc.substrate import available_substrates
 from repro.utils.validation import check_fraction, check_positive_int
 
 __all__ = ["CONFIG_SCHEMA", "SolverConfig"]
@@ -34,6 +36,9 @@ _MODES = ("simulate", "faithful")
 _BUDGET_POLICIES = ("fixed", "adaptive")
 _BOOST_MODES = ("layered", "deterministic")
 _EXECUTORS = ("thread", "process")
+# Fields 2.x wrote into v1 payloads that no longer configure anything;
+# from_dict accepts and ignores them so those payloads stay readable.
+_RETIRED_FIELDS = ("max_workers",)
 
 
 def _is_int(value: Any) -> bool:
@@ -49,14 +54,13 @@ class SolverConfig:
     epsilon:
         The pipeline approximation parameter (ε ≤ 1/4, Theorem 17).
     backend:
-        Kernel backend name (``repro.registry`` kind
-        ``"kernel_backend"``); ``None`` leaves the process-active
-        backend untouched.  Replaces ``REPRO_KERNEL_BACKEND`` /
-        ``set_backend``.
+        Kernel backend name (one of
+        :func:`repro.kernels.available_backends`); ``None`` leaves the
+        process-active backend untouched.
     substrate:
-        Faithful-mode MPC substrate name (kind ``"mpc_substrate"``);
-        ``None`` leaves the active substrate untouched.  Replaces
-        ``REPRO_MPC_SUBSTRATE`` / ``set_substrate``.
+        Faithful-mode MPC substrate name (one of
+        :func:`repro.mpc.available_substrates`); ``None`` leaves the
+        active substrate untouched.
     mode:
         Fractional-solve validation mode: ``"simulate"`` (the scale
         path) or ``"faithful"`` (every communication step executed on
@@ -76,20 +80,19 @@ class SolverConfig:
         Default seed for calls that do not pass one (the seed policy:
         explicit per-call seeds always win).
     stages:
-        Explicit pipeline-stage names (kind ``"pipeline_stage"``), in
-        execution order; ``None`` selects the paper's default pipeline
-        shaped by ``repair``/``boost``.
+        Explicit pipeline-stage names (keys of
+        :data:`repro.core.pipeline.STAGE_FACTORIES`), in execution
+        order; ``None`` selects the paper's default pipeline shaped by
+        ``repair``/``boost``.
     repair / boost / boost_epsilon / boost_mode / rounding_copies:
         The stage knobs, exactly as on
         :func:`repro.core.pipeline.solve_allocation`.
     lam / alpha:
         Arboricity bound (``None`` = λ-oblivious guessing) and the MPC
         space exponent.
-    max_workers:
-        Default thread-pool width for :meth:`repro.api.Engine.batch`.
     executor:
         Default batch executor: ``"thread"`` (in-process
-        :func:`~repro.serve.solve_batch` pool — the historical shape)
+        :func:`~repro.serve.solve_batch` — the historical shape)
         or ``"process"`` (the :class:`~repro.serve.ShardedExecutor`
         shard fleet with shared-memory instances, DESIGN.md §12).
     shard_workers:
@@ -112,7 +115,6 @@ class SolverConfig:
     rounding_copies: Optional[int] = None
     lam: Optional[int] = None
     alpha: float = 0.5
-    max_workers: Optional[int] = None
     executor: str = "thread"
     shard_workers: Optional[int] = None
 
@@ -121,29 +123,25 @@ class SolverConfig:
             self, "epsilon", check_fraction(self.epsilon, "epsilon", inclusive_high=0.25)
         )
         if self.backend is not None:
-            if self.backend not in registry.available("kernel_backend"):
+            if self.backend not in available_backends():
                 raise ValueError(
                     f"unknown kernel backend {self.backend!r}; "
-                    f"available: {registry.available('kernel_backend')}"
+                    f"available: {available_backends()}"
                 )
             # Eager validation extends to host capability: a backend can
             # be registered yet unusable here (the native backend needs
             # a C compiler, DESIGN.md §11) — fail at config construction
             # with the actionable reason instead of at first solve.
-            from repro.kernels.backends import backend_availability
-
             reason = backend_availability(self.backend).get(self.backend)
             if reason is not None:
                 raise ValueError(
                     f"kernel backend {self.backend!r} is registered but "
                     f"unavailable on this host: {reason}"
                 )
-        if self.substrate is not None and self.substrate not in registry.available(
-            "mpc_substrate"
-        ):
+        if self.substrate is not None and self.substrate not in available_substrates():
             raise ValueError(
                 f"unknown MPC substrate {self.substrate!r}; "
-                f"available: {registry.available('mpc_substrate')}"
+                f"available: {available_substrates()}"
             )
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {list(_MODES)}, got {self.mode!r}")
@@ -179,7 +177,7 @@ class SolverConfig:
                     "stages must be a sequence of stage names, not a string"
                 )
             stages = tuple(self.stages)
-            known = registry.available("pipeline_stage")
+            known = sorted(STAGE_FACTORIES)
             for name in stages:
                 if name not in known:
                     raise ValueError(
@@ -203,12 +201,6 @@ class SolverConfig:
         if not (0.0 < float(self.alpha) < 1.0):
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
         object.__setattr__(self, "alpha", float(self.alpha))
-        if self.max_workers is not None:
-            object.__setattr__(
-                self,
-                "max_workers",
-                check_positive_int(self.max_workers, "max_workers"),
-            )
         if self.executor not in _EXECUTORS:
             raise ValueError(
                 f"executor must be one of {list(_EXECUTORS)}, got {self.executor!r}"
@@ -245,13 +237,11 @@ class SolverConfig:
 
         ``stages=None`` builds the paper's default pipeline
         (:func:`repro.core.pipeline.default_stages` under the config's
-        knobs); explicit names resolve through the unified registry
-        (kind ``"pipeline_stage"``), each factory receiving this
-        config.
+        knobs); explicit names resolve through
+        :data:`repro.core.pipeline.STAGE_FACTORIES`, each factory
+        receiving this config.
         """
         if self.stages is None:
-            from repro.core.pipeline import default_stages
-
             return default_stages(
                 repair=self.repair,
                 boost=self.boost,
@@ -262,9 +252,7 @@ class SolverConfig:
                 rounding_copies=self.rounding_copies,
                 mpc_options=self.mpc_options(),
             )
-        return tuple(
-            registry.resolve("pipeline_stage", name)(self) for name in self.stages
-        )
+        return tuple(STAGE_FACTORIES[name](self) for name in self.stages)
 
     def session_kwargs(self) -> dict[str, Any]:
         """Constructor keywords for :class:`repro.serve.AllocationSession`
@@ -306,7 +294,7 @@ class SolverConfig:
                 f"expected {CONFIG_SCHEMA!r}"
             )
         known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(payload) - known - {"schema"}
+        extra = set(payload) - known - {"schema", *_RETIRED_FIELDS}
         if extra:
             raise ValueError(
                 f"unknown SolverConfig fields {sorted(extra)}; known: {sorted(known)}"

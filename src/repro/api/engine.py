@@ -46,6 +46,7 @@ from repro.api.config import SolverConfig
 from repro.api.report import AllocationReport
 from repro.dynamic.session import DynamicSession
 from repro.graphs.instances import AllocationInstance
+from repro.serve.batch import solve_batch, solve_stream
 from repro.serve.session import AllocationSession, SolveRequest
 
 __all__ = ["Engine", "StreamResult"]
@@ -121,13 +122,13 @@ class Engine:
         if self._restore is None:
             prev_backend = prev_substrate = None
             if self.config.backend is not None:
-                from repro.kernels.backends import _set_backend_impl
+                from repro.kernels.backends import _set_backend
 
-                prev_backend = _set_backend_impl(self.config.backend)
+                prev_backend = _set_backend(self.config.backend)
             if self.config.substrate is not None:
-                from repro.mpc.substrate import _set_substrate_impl
+                from repro.mpc.substrate import _set_substrate
 
-                prev_substrate = _set_substrate_impl(self.config.substrate)
+                prev_substrate = _set_substrate(self.config.substrate)
             self._restore = (prev_backend, prev_substrate)
         return self
 
@@ -143,13 +144,13 @@ class Engine:
             prev_backend, prev_substrate = self._restore
             self._restore = None
             if prev_backend is not None:
-                from repro.kernels.backends import _set_backend_impl
+                from repro.kernels.backends import _set_backend
 
-                _set_backend_impl(prev_backend)
+                _set_backend(prev_backend)
             if prev_substrate is not None:
-                from repro.mpc.substrate import _set_substrate_impl
+                from repro.mpc.substrate import _set_substrate
 
-                _set_substrate_impl(prev_substrate)
+                _set_substrate(prev_substrate)
 
     def __enter__(self) -> "Engine":
         return self.activate()
@@ -344,7 +345,6 @@ class Engine:
         requests: Iterable[Union[SolveRequest, Mapping[str, Any]]],
         *,
         seed: Any = None,
-        max_workers: Optional[int] = None,
         prime: bool = True,
         executor: Optional[str] = None,
         workers: Optional[int] = None,
@@ -362,10 +362,9 @@ class Engine:
         :func:`repro.serve.solve_batch` against current warm state.
 
         ``executor`` selects the execution tier (config default
-        ``"thread"``): ``"thread"`` runs the in-process pool
-        (``workers``/``max_workers`` = pool width), ``"process"``
-        routes through the resident :class:`~repro.serve.ShardedExecutor`
-        shard fleet (``workers`` = shard count, config
+        ``"thread"``): ``"thread"`` serves in this process, in request
+        order; ``"process"`` routes through the resident
+        :class:`~repro.serve.ShardedExecutor` shard fleet (``workers`` = shard count, config
         ``shard_workers``, else one per core; ``target`` must be
         instances, not a session — sessions cannot cross processes).
         Both tiers obey the same seed-per-position determinism
@@ -401,21 +400,9 @@ class Engine:
         reqs = [_as_request(r) for r in requests]
         if seed is None:
             seed = self.config.seed
-        if max_workers is None:
-            max_workers = workers if workers is not None else self.config.max_workers
         with self._scoped():
-            if prime:
-                from repro.serve.batch import solve_stream
-
-                results = solve_stream(
-                    session, reqs, seed=seed, max_workers=max_workers
-                )
-            else:
-                from repro.serve.batch import solve_batch
-
-                results = solve_batch(
-                    session, reqs, seed=seed, max_workers=max_workers
-                )
+            run = solve_stream if prime else solve_batch
+            results = run(session, reqs, seed=seed)
         return [AllocationReport.from_pipeline(r) for r in results]
 
     def shard_executor(self, workers: Optional[int] = None):

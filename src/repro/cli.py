@@ -14,8 +14,8 @@ Usage::
 ``solve`` runs the full paper pipeline (MPC fractional → §6 rounding →
 repair → App.-B boosting) and prints the audit summary; ``batch``
 serves a JSONL request file through a resident
-:class:`~repro.serve.AllocationSession` (warm-started solves, optional
-thread parallelism — DESIGN.md §8); ``dynamic`` replays an instance
+:class:`~repro.serve.AllocationSession` (warm-started solves, DESIGN.md
+§8) or a multi-process shard fleet; ``dynamic`` replays an instance
 delta stream — one JSON delta per line, or a generated scenario
 (``--scenario``) — through a :class:`~repro.dynamic.DynamicSession`
 with warm incremental re-solves (DESIGN.md §9), printing one audit row
@@ -29,9 +29,7 @@ the flags of ``solve``, ``batch`` and ``dynamic`` — ``--epsilon``,
 §6) and ``--substrate`` (faithful-mode MPC substrate, DESIGN.md §7) —
 build one :class:`repro.api.SolverConfig`, and the engine built from
 it owns the run.  ``--backend``/``--substrate`` are installed
-process-wide for the invocation (``Engine.activate``), matching the
-historical ``set_backend`` / ``set_substrate`` semantics those now
-deprecated shims provided.
+process-wide for the invocation (``Engine.activate``).
 """
 
 from __future__ import annotations
@@ -70,14 +68,15 @@ def _engine_from_args(args: argparse.Namespace, *, session_prefix: str = ""):
     input.
 
     Validation is reported in two historical voices: bad engine-
-    selection names (``--backend``/``--substrate``) print the registry
+    selection names (``--backend``/``--substrate``) print the selection
     error as-is, while a bad session parameter (``--epsilon``) is
     prefixed with ``session_prefix`` so a flag problem is reported as
     one.  ``activate()`` (no paired restore) preserves the old
     install-process-wide flag semantics.
     """
-    from repro import registry
     from repro.api import Engine, SolverConfig
+    from repro.kernels import available_backends
+    from repro.mpc.substrate import available_substrates
 
     backend = getattr(args, "backend", None)
     substrate = getattr(args, "substrate", None)
@@ -100,14 +99,14 @@ def _engine_from_args(args: argparse.Namespace, *, session_prefix: str = ""):
         bad_engine_name = (
             backend is not None
             and (
-                backend not in registry.available("kernel_backend")
+                backend not in available_backends()
                 # registered but unusable on this host (e.g. "native"
                 # without a C compiler) is an engine-selection problem
                 or "unavailable on this host" in str(exc)
             )
         ) or (
             substrate is not None
-            and substrate not in registry.available("mpc_substrate")
+            and substrate not in available_substrates()
         )
         prefix = "" if bad_engine_name else session_prefix
         print(f"{prefix}{exc}", file=sys.stderr)
@@ -118,10 +117,8 @@ def _engine_from_args(args: argparse.Namespace, *, session_prefix: str = ""):
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend", default=None,
-        help="kernel backend: reference|optimized|native|auto (native "
-        "needs a C compiler; auto picks optimized below the measured "
-        "native crossover and native above it; see "
-        "repro.kernels.backend_availability)",
+        help="kernel backend: reference|optimized|native (native "
+        "needs a C compiler; see repro.kernels.backend_availability)",
     )
     parser.add_argument(
         "--substrate", default=None,
@@ -209,8 +206,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         else:
             session = engine.open_session(instance)
             # Prime-then-batch (DESIGN.md §8.3): the first request runs
-            # serially so the batched remainder warm-starts.
-            reports = engine.batch(session, requests, max_workers=args.workers)
+            # alone so the batched remainder warm-starts.
+            reports = engine.batch(session, requests)
             stats = ("session_stats", session.stats.as_dict())
     except ValueError as exc:
         # e.g. capacity_updates naming a vertex outside the instance
@@ -545,13 +542,11 @@ def main(argv: list[str] | None = None) -> int:
                          help="batch seed (per-position streams)")
     p_batch.add_argument("--no-boost", action="store_true",
                          help="session default: skip boosting")
-    p_batch.add_argument("--workers", type=int, default=None,
-                         help="thread pool size (default: cpu-based)")
     p_batch.add_argument(
         "--shard-workers", type=int, default=None,
         help="serve through a multi-process shard fleet of this size "
              "(shared-memory instances, instance-hash routing; "
-             "bit-identical to the thread path — DESIGN.md §12)",
+             "bit-identical to the in-process path — DESIGN.md §12)",
     )
     _add_engine_flags(p_batch)
     p_batch.set_defaults(fn=_cmd_batch)

@@ -29,7 +29,15 @@ stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Literal, Optional, Protocol, Sequence, runtime_checkable
+from typing import (
+    Any,
+    Callable,
+    Literal,
+    Optional,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 import numpy as np
 
@@ -58,6 +66,8 @@ __all__ = [
     "RepairStage",
     "BoostStage",
     "default_stages",
+    "STAGE_FACTORIES",
+    "register_stage",
     "run_pipeline",
     "solve_allocation",
     "solve_allocation_many",
@@ -284,6 +294,26 @@ def default_stages(
     if boost:
         stages.append(BoostStage(epsilon=boost_epsilon, mode=boost_mode))
     return tuple(stages)
+
+
+# Named stages for ``repro.api.SolverConfig(stages=...)``: each factory
+# receives the active config and returns a stage object.
+STAGE_FACTORIES: dict[str, Callable[[Any], PipelineStage]] = {
+    "fractional": lambda config: FractionalStage(
+        alpha=config.alpha, lam=config.lam, options=config.mpc_options()
+    ),
+    "rounding": lambda config: RoundingStage(copies=config.rounding_copies),
+    "repair": lambda config: RepairStage(),
+    "boost": lambda config: BoostStage(
+        epsilon=config.boost_epsilon, mode=config.boost_mode
+    ),
+}
+
+
+def register_stage(name: str, factory: Callable[[Any], PipelineStage]) -> None:
+    """Register a pipeline-stage factory under ``name`` (last write
+    wins); ``SolverConfig(stages=(..., name))`` then selects it."""
+    STAGE_FACTORIES[name] = factory
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ in the same four segment primitives over a CSR side:
 * ``scatter_add``  — the bincount scatter back to vertices.
 
 This package isolates those primitives behind a backend registry
-(:func:`get_backend` / :func:`set_backend`, selectable via the
-``REPRO_KERNEL_BACKEND`` environment variable) with two built-in
+(:func:`get_backend`; selected by ``repro.api.SolverConfig(backend=...)``
+or scoped with :func:`use_backend`) with three built-in
 implementations:
 
 * ``"reference"`` — plain NumPy, operation-for-operation identical to
@@ -44,7 +44,6 @@ See DESIGN.md §6 and §11 for the architecture.
 from __future__ import annotations
 
 from repro.kernels.backends import (
-    AutoBackend,
     KernelBackend,
     OptimizedBackend,
     ReferenceBackend,
@@ -52,7 +51,6 @@ from repro.kernels.backends import (
     backend_availability,
     get_backend,
     register_backend,
-    set_backend,
     use_backend,
 )
 from repro.kernels.rounds import proportional_round
@@ -69,11 +67,9 @@ __all__ = [
     "KernelBackend",
     "ReferenceBackend",
     "OptimizedBackend",
-    "AutoBackend",
     "available_backends",
     "backend_availability",
     "get_backend",
-    "set_backend",
     "use_backend",
     "register_backend",
     "SegmentLayout",
@@ -93,8 +89,8 @@ __all__ = [
 
 # ----------------------------------------------------------------------
 # Module-level dispatchers: the convenience surface most consumers use.
-# Each resolves the active backend at call time so set_backend()/the
-# env var affect all call sites uniformly.
+# Each resolves the active backend at call time so a selection affects
+# all call sites uniformly.
 # ----------------------------------------------------------------------
 def segment_sum(per_slot, indptr, *, layout=None):
     """Row sums of a CSR-aligned array; empty rows yield 0."""

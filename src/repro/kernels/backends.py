@@ -15,10 +15,11 @@ agrees to a few ulps wherever fusion folds row sums sequentially
 instead of numpy's SIMD/pairwise order — the parity suite pins both
 tiers.
 
-Selection: ``REPRO_KERNEL_BACKEND=reference|optimized|native`` in the
-environment, or :func:`set_backend` / :func:`use_backend` at runtime.
-The default is ``"optimized"``.  Backends can be *registered yet
-unavailable* on a host (``native`` needs a C compiler):
+Selection: ``repro.api.SolverConfig(backend=...)`` on an
+:class:`repro.api.Engine`, or :func:`use_backend` as a scoped switch
+(tests, benchmarks).  The default is ``"optimized"``.  Backends can
+be *registered yet unavailable* on a host (``native`` needs a C
+compiler):
 :func:`backend_availability` reports the reason, and resolving an
 unavailable backend raises it.
 
@@ -27,8 +28,6 @@ See DESIGN.md §6 and §11.
 
 from __future__ import annotations
 
-import os
-import warnings
 from contextlib import contextmanager
 from typing import Callable, Dict, Optional, Union
 
@@ -40,16 +39,13 @@ __all__ = [
     "KernelBackend",
     "ReferenceBackend",
     "OptimizedBackend",
-    "AutoBackend",
     "register_backend",
     "available_backends",
     "backend_availability",
     "get_backend",
-    "set_backend",
     "use_backend",
 ]
 
-ENV_VAR = "REPRO_KERNEL_BACKEND"
 DEFAULT_BACKEND = "optimized"
 
 
@@ -328,64 +324,6 @@ class OptimizedBackend(KernelBackend):
         return e
 
 
-class AutoBackend(OptimizedBackend):
-    """Size-dispatching backend: optimized below the native crossover,
-    native above it.
-
-    ``BENCH_kernels.json`` shows the native fused round *losing* to the
-    optimized numpy path on small instances (0.8x at ~1.5k edges — the
-    per-call ctypes overhead dominates) and winning decisively at scale
-    (≥2.5x at 160k edges).  ``auto`` applies that measurement: the
-    fused :meth:`proportional_round` delegates to the native backend
-    once ``workspace.n_edges`` reaches :data:`AUTO_NATIVE_MIN_EDGES`,
-    and otherwise — and for every unfused segment primitive — behaves
-    exactly like ``optimized``.
-
-    Degradation matches the registry contract (DESIGN.md §11): the
-    native backend is probed lazily on the first large call; when it is
-    unusable (no C compiler) ``auto`` stays on the optimized path for
-    every size instead of raising, so it is always safe to select.
-    """
-
-    name = "auto"
-
-    #: Edge-count crossover between the measured 0.8x (1558 edges) and
-    #: 3.3x (15958 edges) native-vs-optimized points in
-    #: BENCH_kernels.json.
-    AUTO_NATIVE_MIN_EDGES = 4000
-
-    def __init__(self, *, native_min_edges: Optional[int] = None):
-        self.native_min_edges = (
-            self.AUTO_NATIVE_MIN_EDGES if native_min_edges is None else int(native_min_edges)
-        )
-        self._native: Optional[KernelBackend] = None
-        self._native_checked = False
-
-    def _native_delegate(self) -> Optional[KernelBackend]:
-        if not self._native_checked:
-            self._native_checked = True
-            try:
-                from repro.kernels.native import NativeBackend, native_availability
-
-                ok, _reason = native_availability()
-                if ok:
-                    self._native = NativeBackend()
-            except Exception:
-                self._native = None
-        return self._native
-
-    def proportional_round(self, workspace, beta_exp, scale, *, left_units=None):
-        if workspace.n_edges >= self.native_min_edges:
-            native = self._native_delegate()
-            if native is not None:
-                return native.proportional_round(
-                    workspace, beta_exp, scale, left_units=left_units
-                )
-        return super().proportional_round(
-            workspace, beta_exp, scale, left_units=left_units
-        )
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
@@ -432,9 +370,6 @@ def _native_probe() -> "tuple[bool, Optional[str]]":
 register_backend("reference", ReferenceBackend)
 register_backend("optimized", OptimizedBackend)
 register_backend("native", _native_factory, availability=_native_probe)
-# No availability probe: auto degrades to the optimized path when the
-# native half is unusable, so it is usable everywhere.
-register_backend("auto", AutoBackend)
 
 
 def available_backends(*, usable_only: bool = False) -> list[str]:
@@ -489,64 +424,37 @@ def _resolve(name_or_backend: Union[str, KernelBackend]) -> KernelBackend:
 
 
 def get_backend() -> KernelBackend:
-    """The active backend (initialized from ``REPRO_KERNEL_BACKEND``)."""
+    """The active backend (``"optimized"`` until something installs
+    another)."""
     global _ACTIVE
     if _ACTIVE is None:
-        if ENV_VAR in os.environ:
-            warnings.warn(
-                f"selecting the kernel backend via the {ENV_VAR} environment "
-                "variable is deprecated; pass "
-                "repro.api.SolverConfig(backend=...) to an Engine instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        _ACTIVE = _resolve(os.environ.get(ENV_VAR, DEFAULT_BACKEND))
+        _ACTIVE = _resolve(DEFAULT_BACKEND)
     return _ACTIVE
 
 
-def _set_backend_impl(name_or_backend: Union[str, KernelBackend]) -> KernelBackend:
-    """Install a backend globally; returns the previous one (no
-    deprecation warning — the :class:`repro.api.Engine` activation path
-    and :func:`use_backend` scoping route through here)."""
+def _set_backend(name_or_backend: Union[str, KernelBackend]) -> KernelBackend:
+    """Install a backend globally; returns the previous one.
+
+    The one setter behind :meth:`repro.api.Engine.activate` /
+    :meth:`~repro.api.Engine.close` and :func:`use_backend`.  The
+    active backend is **process-global, not thread-local**: do not
+    switch backends while runs are stepping on other threads.
+    """
     global _ACTIVE
     previous = get_backend()
     _ACTIVE = _resolve(name_or_backend)
     return previous
 
 
-def set_backend(name_or_backend: Union[str, KernelBackend]) -> KernelBackend:
-    """Deprecated: install a backend globally; returns the previous one.
-
-    Deprecated in favour of :class:`repro.api.SolverConfig` — construct
-    ``SolverConfig(backend=...)`` and hand it to an
-    :class:`repro.api.Engine`, which scopes the selection to its
-    lifecycle instead of mutating process state forever.
-
-    The active backend is **process-global, not thread-local**: do not
-    switch backends while runs are stepping on other threads, or those
-    runs would silently mix backends mid-trajectory.  (Safe with the
-    built-in backends, which are bit-identical by contract, but not
-    with a third-party backend that isn't.)  Pick the backend before
-    fanning out concurrent work.
-    """
-    warnings.warn(
-        "repro.kernels.set_backend is deprecated; select the backend via "
-        "repro.api.SolverConfig(backend=...) and an Engine",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _set_backend_impl(name_or_backend)
-
-
 @contextmanager
 def use_backend(name_or_backend: Union[str, KernelBackend]):
     """Context manager: run a block under a specific backend.
 
-    Process-global while active, like :func:`set_backend` — see its
-    threading caveat.
+    Process-global while active — see :func:`_set_backend`'s threading
+    caveat.
     """
-    previous = _set_backend_impl(name_or_backend)
+    previous = _set_backend(name_or_backend)
     try:
         yield get_backend()
     finally:
-        _set_backend_impl(previous)
+        _set_backend(previous)

@@ -9,15 +9,15 @@ shape:
 * :class:`AllocationSession` — a resident solver per graph: cached
   :class:`~repro.kernels.RoundWorkspace`, per-graph invariants, and
   the last converged β exponent vector for warm-started solves.
-* :func:`solve_batch` — thread-parallel batch execution across
-  sessions with the seed-per-position determinism contract.
+* :func:`solve_batch` — batch execution across sessions with the
+  seed-per-position determinism contract.
 * :func:`replay_stream` — drive a :class:`repro.dynamic.DynamicSession`
   through a delta stream, re-solving (warm) after every event
   (DESIGN.md §9).
 * :class:`ShardedExecutor` — the multi-process tier (DESIGN.md §12):
   N shard workers with resident session fleets, instances published to
   ``multiprocessing.shared_memory`` (:mod:`repro.serve.shm`) and
-  routed by stable content hash, bit-identical to the thread path.
+  routed by stable content hash, bit-identical to the in-process path.
 * :class:`AllocationService` + :mod:`repro.serve.snapshot` — the
   durable tier (DESIGN.md §14): versioned session snapshots with
   atomic persistence and certificate-verified restore, behind an

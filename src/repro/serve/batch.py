@@ -1,38 +1,31 @@
-"""Thread-parallel batch execution over resident sessions (DESIGN.md §8).
+"""Batch execution over resident sessions (DESIGN.md §8).
 
 ``solve_batch`` runs a list of :class:`~repro.serve.SolveRequest`
 objects across one or more :class:`~repro.serve.AllocationSession`
-instances on a thread pool.  NumPy kernels release the GIL, so the
-heavy per-request work (round kernels, sorting, sampling) genuinely
-overlaps; the per-graph workspaces are thread-safe by construction
-(immutable invariants + thread-local scratch, DESIGN.md §6.4).
+instances, in request order.
 
 Batch determinism rule (the ``solve_allocation_many`` contract,
 extended):
 
 * Seeds are spawned per batch *position*: request ``i`` with
   ``seed=None`` receives ``spawn(seed, n)[i]``; an explicit per-request
-  seed wins.  Results therefore depend on the request order, never on
-  thread scheduling.
+  seed wins.
 * Warm starts are taken from a *snapshot* of each session's exponents
   at batch entry, so every request in the batch warm-starts from the
-  same state regardless of completion order.
+  same state.
 * Each session's warm state is committed once, after the batch, from
-  the highest-position request that targeted it — again a pure
-  function of the request list.
+  the highest-position request that targeted it.
 
 Consequently ``solve_batch(sessions, requests, seed=s)`` is
 bit-identical to the serial loop over ``solve_detached`` with the same
-spawned seeds — a property the test suite asserts with
-``max_workers=1`` vs ``max_workers=4``.
+spawned seeds, and to the multi-process shard fleet
+(:class:`~repro.serve.ShardedExecutor`), which obeys the same rule.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from repro.core.pipeline import PipelineResult
 from repro.serve.session import AllocationSession, SolveRequest
@@ -62,10 +55,9 @@ def solve_batch(
     requests: Sequence[SolveRequest],
     *,
     seed=None,
-    max_workers: Optional[int] = None,
     commit: bool = True,
 ) -> list[PipelineResult]:
-    """Solve ``requests`` thread-parallel across sessions.
+    """Solve ``requests`` across sessions.
 
     ``sessions`` is either one session shared by every request (the
     one-resident-graph serving shape) or a sequence aligned with
@@ -88,30 +80,18 @@ def solve_batch(
         if key not in snapshots:
             snapshots[key] = session.exponents_snapshot()
 
-    def run_one(i: int) -> PipelineResult:
-        session = per_request[i]
-        request = requests[i]
+    results = []
+    for session, request, stream in zip(per_request, requests, streams):
         if request.seed is None:
-            request = replace(request, seed=streams[i])
+            request = replace(request, seed=stream)
         initial = snapshots[id(session)] if request.warm else None
-        return session.solve_detached(request, initial_exponents=initial)
-
-    if max_workers is None:
-        max_workers = min(len(requests), max(1, (os.cpu_count() or 2) - 1))
-    if max_workers <= 1:
-        results = [run_one(i) for i in range(len(requests))]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run_one, range(len(requests))))
+        results.append(session.solve_detached(request, initial_exponents=initial))
 
     if commit:
-        # Highest-position request per session commits its exponents —
-        # deterministic in the request list, independent of scheduling.
-        last_by_session: dict[int, tuple[AllocationSession, int]] = {}
-        for i, session in enumerate(per_request):
-            last_by_session[id(session)] = (session, i)
-        for session, i in last_by_session.values():
-            session.commit(results[i])
+        # Highest-position request per session commits its exponents.
+        last = {id(s): (s, r) for s, r in zip(per_request, results)}
+        for session, result in last.values():
+            session.commit(result)
     return results
 
 
@@ -120,7 +100,6 @@ def solve_stream(
     requests: Sequence[SolveRequest],
     *,
     seed=None,
-    max_workers: Optional[int] = None,
 ) -> list[PipelineResult]:
     """Serve a request stream on one session: prime, then batch warm.
 
@@ -145,5 +124,5 @@ def solve_stream(
         req if req.seed is not None else replace(req, seed=stream)
         for req, stream in zip(requests[1:], streams[1:])
     ]
-    results.extend(solve_batch(session, rest, max_workers=max_workers))
+    results.extend(solve_batch(session, rest))
     return results

@@ -85,6 +85,30 @@ class ServiceError(Exception):
         }
 
 
+def _check_request(request: SolveRequest, instance: AllocationInstance) -> None:
+    """Reject a parsed ``solve`` request the resident instance cannot
+    serve, as ``bad_request`` and before any seed is drawn."""
+    if request.seed is not None and request.seed < 0:
+        raise ServiceError("bad_request", f"seed must be >= 0, got {request.seed}")
+    n_right = instance.n_right
+    caps = request.capacities
+    if caps is not None and (len(caps) != n_right or min(caps, default=0) < 0):
+        raise ServiceError(
+            "bad_request",
+            f"capacities must be {n_right} non-negative integers",
+        )
+    for v, c in (request.capacity_updates or {}).items():
+        if not 0 <= v < n_right:
+            raise ServiceError(
+                "bad_request",
+                f"capacity_updates vertex id {v} out of range [0, {n_right})",
+            )
+        if c < 0:
+            raise ServiceError(
+                "bad_request", f"capacity_updates[{v}] must be >= 0, got {c}"
+            )
+
+
 @dataclass
 class _Resident:
     """One admitted session plus its service-side bookkeeping."""
@@ -93,7 +117,9 @@ class _Resident:
     hash: str
     seed_cursor: int = 0
     busy: int = 0            # in-flight solves (busy residents are not evictable)
-    dirty: bool = False      # state newer than the last checkpoint
+    # State newer than the last checkpoint; a resident admitted fresh by
+    # `open` starts dirty, so eviction snapshots it instead of losing it.
+    dirty: bool = False
     last_used: int = 0       # LRU stamp (service-wide monotonic counter)
     restored_warm: bool = False
 
@@ -128,6 +154,11 @@ class AllocationService:
     them from its :class:`~repro.api.SolverConfig`.
     """
 
+    # Longest request line accepted.  asyncio's default stream limit is
+    # 64 KiB; an embedded instance JSON (the `open` op) is routinely
+    # larger.
+    line_limit = 1 << 26
+
     def __init__(
         self,
         store_dir: Union[str, Path],
@@ -156,6 +187,7 @@ class AllocationService:
         self.rehydrate = bool(rehydrate)
         self.session_kwargs = dict(session_kwargs or {})
         self.counters = ServiceCounters()
+        self.errors = dict.fromkeys(ERROR_TYPES, 0)
         self._residents: dict[str, _Resident] = {}
         self._inflight: dict[tuple[str, str], asyncio.Future] = {}
         self._rng = RngFactory(self.seed)
@@ -247,7 +279,9 @@ class AllocationService:
             self._residents[h] = resident
             return resident, True
         resident = _Resident(
-            session=AllocationSession(instance, **self.session_kwargs), hash=h
+            session=AllocationSession(instance, **self.session_kwargs),
+            hash=h,
+            dirty=True,
         )
         self._touch(resident)
         self._residents[h] = resident
@@ -284,6 +318,19 @@ class AllocationService:
         self._touch(resident)
         return resident
 
+    def _solve_on(self, resident: _Resident, request: SolveRequest):
+        """Run one solve on the service's worker thread; returns
+        ``(seed_used, result)``.  A seedless request takes the cursor's
+        seed, and the cursor advances only once the solve succeeded —
+        solves are serialized on the one worker, so no other request
+        can read the cursor in between."""
+        if request.seed is not None:
+            return request.seed, resident.session.solve(request)
+        seed = self._derive_seed(resident)
+        result = resident.session.solve(dataclasses.replace(request, seed=seed))
+        resident.seed_cursor += 1
+        return seed, result
+
     # -- operations ------------------------------------------------------
     async def _op_open(self, msg: Mapping[str, Any]) -> dict[str, Any]:
         from repro.graphs.io import instance_from_json
@@ -316,6 +363,7 @@ class AllocationService:
             request = SolveRequest.from_json(req_obj)
         except (ValueError, TypeError) as exc:
             raise ServiceError("bad_request", str(exc)) from exc
+        _check_request(request, resident.session.instance)
 
         key = (resident.hash, json.dumps(req_obj, sort_keys=True))
         pending = self._inflight.get(key)
@@ -330,14 +378,8 @@ class AllocationService:
         self._inflight[key] = future
         resident.busy += 1
         try:
-            seed = request.seed
-            solve_req = request
-            if seed is None:
-                seed = self._derive_seed(resident)
-                resident.seed_cursor += 1
-                solve_req = dataclasses.replace(request, seed=seed)
-            result = await asyncio.get_running_loop().run_in_executor(
-                self._pool, resident.session.solve, solve_req
+            seed, result = await asyncio.get_running_loop().run_in_executor(
+                self._pool, self._solve_on, resident, request
             )
             resident.dirty = True
             self.counters.solves += 1
@@ -400,6 +442,7 @@ class AllocationService:
         return {
             "ok": True,
             "counters": self.counters.as_dict(),
+            "errors": dict(self.errors),
             "max_sessions": self.max_sessions,
             "residents": residents,
         }
@@ -425,6 +468,10 @@ class AllocationService:
         "shutdown": _op_shutdown,
     }
 
+    def _error(self, exc: ServiceError) -> dict[str, Any]:
+        self.errors[exc.error_type] += 1
+        return exc.as_response()
+
     async def handle_message(self, msg: Any) -> dict[str, Any]:
         """Dispatch one decoded request object to its operation."""
         try:
@@ -438,16 +485,26 @@ class AllocationService:
                 )
             return await handler(self, msg)
         except ServiceError as exc:
-            return exc.as_response()
+            return self._error(exc)
         except Exception as exc:  # pragma: no cover - defensive
-            return ServiceError("internal", f"{type(exc).__name__}: {exc}").as_response()
+            return self._error(ServiceError("internal", f"{type(exc).__name__}: {exc}"))
 
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Over the stream limit: the rest of the line cannot
+                    # be framed, so answer once and drop the connection.
+                    response = self._error(ServiceError(
+                        "bad_request", f"request line exceeds {self.line_limit} bytes"
+                    ))
+                    writer.write((json.dumps(response) + "\n").encode())
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 text = line.decode("utf-8", errors="replace").strip()
@@ -456,9 +513,9 @@ class AllocationService:
                 try:
                     msg = json.loads(text)
                 except json.JSONDecodeError as exc:
-                    response = ServiceError(
-                        "bad_request", f"invalid JSON: {exc}"
-                    ).as_response()
+                    response = self._error(
+                        ServiceError("bad_request", f"invalid JSON: {exc}")
+                    )
                 else:
                     response = await self.handle_message(msg)
                 writer.write((json.dumps(response) + "\n").encode())
@@ -481,10 +538,8 @@ class AllocationService:
             self._rehydrate_all()
         self.socket_path.parent.mkdir(parents=True, exist_ok=True)
         self.socket_path.unlink(missing_ok=True)
-        # Default stream limit is 64 KiB per line; an embedded instance
-        # JSON (the `open` op) is routinely larger.
         self._server = await asyncio.start_unix_server(
-            self._handle_client, path=str(self.socket_path), limit=1 << 26
+            self._handle_client, path=str(self.socket_path), limit=self.line_limit
         )
         if self.checkpoint_interval is not None:
             self._checkpoint_task = asyncio.create_task(self._checkpoint_loop())

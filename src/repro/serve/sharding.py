@@ -1,9 +1,8 @@
 """Multi-process sharded serving (DESIGN.md §12).
 
-``solve_batch`` is thread-parallel, so the GIL caps the whole serving
+``solve_batch`` serves in one process, which caps the whole serving
 layer at one core regardless of how fast the native kernel made each
-round (BENCH_serving.json records batch ≈ single-session throughput on
-a 1-CPU host).  :class:`ShardedExecutor` is the process-pool answer: it
+round.  :class:`ShardedExecutor` is the process-pool answer: it
 forks N shard workers, each owning a resident fleet of
 :class:`~repro.serve.AllocationSession` /
 :class:`~repro.dynamic.DynamicSession` objects, and routes every
@@ -26,11 +25,11 @@ Determinism (the cross-executor contract, asserted in
 ``tests/test_sharding.py``): request ``i`` with no explicit seed
 receives ``spawn(seed, n)[i]`` — assigned by the dispatcher *before*
 routing — and each shard processes its instances' sub-streams in
-position order with exactly the thread path's snapshot/commit rule
+position order with exactly ``solve_batch``'s snapshot/commit rule
 (:mod:`repro.serve.batch`).  A batch is therefore a pure function of
 ``(instances, request list, seed)``: bit-identical across worker
-counts 1/2/4 and bit-identical to the thread executor on the same
-stream.
+counts 1/2/4 and bit-identical to the in-process executor on the
+same stream.
 
 Crash semantics: a worker death is detected during result collection
 (the batch raises ``RuntimeError`` naming the lost shard); the next

@@ -1,6 +1,15 @@
-"""Shared fixtures and helpers for the test suite."""
+"""Shared fixtures and helpers for the test suite.
+
+``--kernel-backend NAME`` / ``--mpc-substrate NAME`` run the whole
+session under one kernel backend / MPC substrate (the CI parity matrix
+runs the same suites under each)::
+
+    PYTHONPATH=src python -m pytest -q --kernel-backend native tests/test_sampled.py
+"""
 
 from __future__ import annotations
+
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
@@ -15,6 +24,31 @@ from repro.graphs.generators import (
     union_of_forests,
 )
 from repro.graphs.instances import AllocationInstance
+from repro.kernels import use_backend
+from repro.mpc.substrate import use_substrate
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--kernel-backend", default=None,
+        help="run the session under this kernel backend (reference|optimized|native)",
+    )
+    parser.addoption(
+        "--mpc-substrate", default=None,
+        help="run the session under this MPC substrate (object|columnar)",
+    )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_backend_and_substrate(request):
+    backend = request.config.getoption("--kernel-backend")
+    substrate = request.config.getoption("--mpc-substrate")
+    with ExitStack() as stack:
+        if backend is not None:
+            stack.enter_context(use_backend(backend))
+        if substrate is not None:
+            stack.enter_context(use_substrate(substrate))
+        yield
 
 
 @pytest.fixture

@@ -1,5 +1,5 @@
 """The repro.api façade: config validation, Engine parity, report
-schema, unified registry (DESIGN.md §10).
+schema, custom pipeline stages (DESIGN.md §10).
 
 The load-bearing contract: on the same :class:`SolverConfig`,
 ``Engine.solve`` is bit-identical to
@@ -15,7 +15,6 @@ import json
 import numpy as np
 import pytest
 
-from repro import registry
 from repro.api import (
     CONFIG_SCHEMA,
     AllocationReport,
@@ -54,7 +53,7 @@ def test_config_unknown_backend_lists_choices():
     with pytest.raises(ValueError, match=r"unknown kernel backend 'nope'"):
         SolverConfig(backend="nope")
     with pytest.raises(
-        ValueError, match=r"available: \['auto', 'native', 'optimized', 'reference'\]"
+        ValueError, match=r"available: \['native', 'optimized', 'reference'\]"
     ):
         SolverConfig(backend="nope")
 
@@ -87,7 +86,7 @@ def test_config_unknown_stage_lists_choices():
         {"seed": "zero"},
         {"rounding_copies": 0},
         {"lam": 0},
-        {"max_workers": 0},
+        {"executor": "fiber"},
         {"stages": "rounding"},  # a string is not a sequence of names
     ],
 )
@@ -109,7 +108,8 @@ def test_config_json_round_trip():
         rounding_copies=3,
         lam=4,
         alpha=0.6,
-        max_workers=2,
+        executor="process",
+        shard_workers=2,
     )
     assert SolverConfig.from_json(config.to_json()) == config
     payload = config.to_dict()
@@ -123,6 +123,14 @@ def test_config_from_dict_rejects_wrong_schema_and_unknown_fields():
         SolverConfig.from_dict({"schema": "repro.api/SolverConfig/v999"})
     with pytest.raises(ValueError, match="unknown SolverConfig fields"):
         SolverConfig.from_dict({"schema": CONFIG_SCHEMA, "epsilonn": 0.1})
+
+
+def test_config_from_dict_reads_2x_payloads():
+    """2.x wrote the retired ``max_workers`` field into every v1
+    payload; reading one ignores it."""
+    payload = SolverConfig(seed=3).to_dict()
+    payload["max_workers"] = None
+    assert SolverConfig.from_dict(payload) == SolverConfig(seed=3)
 
 
 def test_config_replace_revalidates():
@@ -390,42 +398,14 @@ def test_engine_generate_and_load_instance(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The unified registry
+# Custom pipeline stages
 # ----------------------------------------------------------------------
 
-def test_registry_kinds_and_availability():
-    assert registry.KINDS == ("kernel_backend", "mpc_substrate", "pipeline_stage")
-    assert set(registry.available("kernel_backend")) >= {"optimized", "reference"}
-    assert set(registry.available("mpc_substrate")) >= {"columnar", "object"}
-    assert set(registry.available("pipeline_stage")) >= {
-        "fractional", "rounding", "repair", "boost",
-    }
-
-
-def test_registry_unknown_kind_and_name():
-    with pytest.raises(ValueError, match="unknown registry kind"):
-        registry.available("quantum")
-    with pytest.raises(ValueError, match="unknown kernel_backend 'nope'"):
-        registry.resolve("kernel_backend", "nope")
-
-
-def test_registry_resolve_semantics():
-    from repro.kernels import KernelBackend
-
-    backend = registry.resolve("kernel_backend", "reference")
-    assert isinstance(backend, KernelBackend)
-    substrate_factory = registry.resolve("mpc_substrate", "object")
-    assert callable(substrate_factory)
-    stage_factory = registry.resolve("pipeline_stage", "repair")
-    assert stage_factory(SolverConfig()).name == "repair"
-
-
 def test_registry_custom_stage_flows_into_config(instance):
-    from repro.core.pipeline import RepairStage
+    from repro.core.pipeline import STAGE_FACTORIES, RepairStage, register_stage
 
-    registry.register(
-        "pipeline_stage", "canonical_repair",
-        lambda config: RepairStage(order="canonical"),
+    register_stage(
+        "canonical_repair", lambda config: RepairStage(order="canonical")
     )
     try:
         config = SolverConfig(
@@ -435,25 +415,7 @@ def test_registry_custom_stage_flows_into_config(instance):
         assert [r.stage for r in report.stage_records][-1] == "repair"
         assert report.certified
     finally:
-        registry._STAGE_FACTORIES.pop("canonical_repair")
-
-
-def test_registry_register_backend_visible_both_ways():
-    from repro.kernels import ReferenceBackend, available_backends
-
-    class NamedBackend(ReferenceBackend):
-        name = "test_registry_backend"
-
-    registry.register("kernel_backend", "test_registry_backend", NamedBackend)
-    try:
-        assert "test_registry_backend" in registry.available("kernel_backend")
-        assert "test_registry_backend" in available_backends()
-        config = SolverConfig(backend="test_registry_backend")
-        assert config.backend == "test_registry_backend"
-    finally:
-        from repro.kernels import backends as backends_module
-
-        backends_module._FACTORIES.pop("test_registry_backend")
+        STAGE_FACTORIES.pop("canonical_repair")
 
 
 def test_json_payloads_are_pure(instance):

@@ -93,30 +93,25 @@ def test_cli_solve_wrong_format(tmp_path, capsys):
 # ----------------------------------------------------------------------
 
 def test_cli_backend_flag(instance_file, capsys):
-    from repro.kernels import get_backend, set_backend
+    from repro.kernels import get_backend, use_backend
 
-    previous = get_backend()
-    try:
+    # The flag installs the backend process-wide; the scope restores it.
+    with use_backend(get_backend()):
         assert cli_main([
             "solve", str(instance_file), "--no-boost", "--backend", "reference",
         ]) == 0
         assert type(get_backend()).__name__ == "ReferenceBackend"
-    finally:
-        set_backend(previous)
     json.loads(capsys.readouterr().out)
 
 
 def test_cli_substrate_flag(instance_file, capsys):
-    from repro.mpc.substrate import get_substrate, set_substrate
+    from repro.mpc.substrate import get_substrate, use_substrate
 
-    previous = get_substrate()
-    try:
+    with use_substrate(get_substrate()):
         assert cli_main([
             "solve", str(instance_file), "--no-boost", "--substrate", "object",
         ]) == 0
         assert get_substrate() == "object"
-    finally:
-        set_substrate(previous)
     json.loads(capsys.readouterr().out)
 
 
@@ -148,7 +143,7 @@ def test_cli_batch_round_trip(tmp_path, instance_file, capsys):
     ])
     assert cli_main([
         "batch", str(requests), "--instance", str(instance_file),
-        "--no-boost", "--workers", "2", "--seed", "4",
+        "--no-boost", "--seed", "4",
     ]) == 0
     out = capsys.readouterr()
     rows = [json.loads(line) for line in out.out.strip().splitlines()]
@@ -167,11 +162,11 @@ def test_cli_batch_deterministic(tmp_path, instance_file, capsys):
     requests = _write_requests(tmp_path, [{}, {}, {}])
     args = [
         "batch", str(requests), "--instance", str(instance_file),
-        "--no-boost", "--seed", "9", "--workers", "1",
+        "--no-boost", "--seed", "9",
     ]
     assert cli_main(args) == 0
     first = capsys.readouterr().out
-    assert cli_main(args + ["--workers", "3"]) == 0
+    assert cli_main(args) == 0
     second = capsys.readouterr().out
     assert first == second
 

@@ -470,6 +470,102 @@ def test_bad_request_typed_errors(tmp_path, instance):
     assert {r["error"]["type"] for r in responses} == {"bad_request"}
 
 
+def test_invalid_solves_are_bad_requests_and_keep_the_seed_cursor(
+    tmp_path, instance
+):
+    """A negative capacity, an out-of-range vertex, a negative seed and a
+    capacity vector of the wrong length are rejected as bad_request, and
+    the next seedless solve gets the seed an untouched service would
+    have given it."""
+    h = instance_hash(instance)
+
+    def run(store_dir, malformed):
+        async def scenario(service):
+            loop = asyncio.get_running_loop()
+
+            def work():
+                with ServiceClient(service.socket_path) as c:
+                    c.open(instance)
+                    rejected = [c.solve(h, **bad) for bad in malformed]
+                    return rejected, c.solve(h), c.stats()
+
+            return await loop.run_in_executor(None, work)
+
+        return _run_service(scenario, store_dir=store_dir)
+
+    rejected, valid, stats = run(tmp_path / "a", [
+        {"capacity_updates": {"0": -1}},
+        {"capacity_updates": {str(instance.n_right): 2}},
+        {"seed": -5},
+        {"capacities": [1, 2]},
+    ])
+    _, untouched, _ = run(tmp_path / "b", [])
+    assert [r["error"]["type"] for r in rejected] == ["bad_request"] * 4
+    assert valid["ok"] is True
+    assert valid["seed_used"] == untouched["seed_used"]
+    assert stats["errors"]["bad_request"] == 4
+    assert stats["errors"]["internal"] == 0
+    assert stats["residents"][h]["seed_cursor"] == 1
+
+
+def test_oversize_line_is_rejected_and_service_keeps_serving(tmp_path, instance):
+    h = instance_hash(instance)
+
+    async def scenario(service):
+        loop = asyncio.get_running_loop()
+
+        def work():
+            with ServiceClient(service.socket_path) as c:
+                reply = c.call({"op": "stats", "pad": "x" * (1 << 17)})
+                with pytest.raises(ConnectionError):
+                    c.stats()  # the service dropped this connection
+            with ServiceClient(service.socket_path) as c:
+                assert c.open(instance)["ok"]
+                return reply, c.solve(h, seed=1)
+
+        return await loop.run_in_executor(None, work)
+
+    async def with_small_limit(service):
+        # Rebind the listener with a 64 KiB line limit; an instance
+        # embedded in `open` still fits.
+        service._server.close()
+        await service._server.wait_closed()
+        service.line_limit = 1 << 16
+        await service.start()
+        return await scenario(service)
+
+    reply, solved = _run_service(
+        with_small_limit, store_dir=tmp_path, session_kwargs={"epsilon": 0.2}
+    )
+    assert reply["ok"] is False
+    assert reply["error"]["type"] == "bad_request"
+    assert "exceeds" in reply["error"]["message"]
+    assert solved["ok"] is True
+
+
+def test_eviction_keeps_unsolved_tenants(tmp_path, instance, other_instance):
+    """A tenant evicted between its `open` and its first solve is
+    snapshotted, so the solve finds it instead of `unknown_instance`."""
+    third = power_law_instance(n_left=50, n_right=20, seed=8)
+    h = instance_hash(instance)
+
+    async def scenario(service):
+        loop = asyncio.get_running_loop()
+
+        def work():
+            with ServiceClient(service.socket_path) as c:
+                for inst in (instance, other_instance, third):
+                    assert c.open(inst)["ok"]
+                assert h not in service._residents  # evicted by the third open
+                return c.solve(h, seed=3)
+
+        return await loop.run_in_executor(None, work)
+
+    response = _run_service(scenario, store_dir=tmp_path, max_sessions=2)
+    assert response["ok"] is True, response
+    assert response["warm_start"] is False
+
+
 def test_service_stats_and_forced_snapshot(tmp_path, instance):
     h = instance_hash(instance)
 

@@ -322,7 +322,7 @@ class TestCrossExecutorDeterminism:
         session = AllocationSession(instance)
         reference = _dicts(
             AllocationReport.from_pipeline(r)
-            for r in solve_batch(session, requests, seed=11, max_workers=2)
+            for r in solve_batch(session, requests, seed=11)
         )
         with ShardedExecutor(2) as executor:
             reports = executor.run_batch(instance, requests, seed=11, prime=False)
@@ -343,7 +343,7 @@ class TestCrossExecutorDeterminism:
         ]
         reference = _dicts(
             AllocationReport.from_pipeline(r)
-            for r in solve_batch(aligned, requests, seed=13, max_workers=1)
+            for r in solve_batch(aligned, requests, seed=13)
         )
         with ShardedExecutor(2) as executor:
             reports = executor.run_batch(
