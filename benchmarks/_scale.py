@@ -1,8 +1,6 @@
-"""Benchmark scale selection and host CPU topology, importable
-without pytest.
-
-Shared by ``benchmarks/conftest.py`` (the pytest-benchmark path) and
-the ``bench_*.py`` script modes.
+"""The shared ``--scale``/``--out`` entry point of every ``bench_*.py``
+script, the payload envelope it stamps, and the host CPU topology and
+percentile helpers the payloads record.
 """
 
 from __future__ import annotations
@@ -14,10 +12,8 @@ import re
 from pathlib import Path
 
 __all__ = [
-    "bench_scale",
     "cpu_info",
     "percentile",
-    "stamp_payload",
     "write_bench_payload",
     "bench_script_main",
     "SCHEMA_VERSION",
@@ -25,18 +21,11 @@ __all__ = [
 
 # Version of the BENCH_*.json payload envelope: every payload carries
 # ``schema_version`` + ``cpu`` (stamped by write_bench_payload) so
-# downstream consumers (check_bench_floors, bench_trajectory) can
-# reject formats they don't understand instead of misreading them.
+# downstream consumers can reject formats they don't understand
+# instead of misreading them.
 SCHEMA_VERSION = 1
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-
-
-def bench_scale() -> str:
-    scale = os.environ.get("REPRO_BENCH_SCALE", "normal")
-    if scale not in ("smoke", "normal", "full"):
-        raise ValueError(f"REPRO_BENCH_SCALE must be smoke/normal/full, got {scale!r}")
-    return scale
 
 
 def cpu_info() -> dict:
@@ -85,25 +74,18 @@ def percentile(values, q: float) -> float:
     return data[low] * (1.0 - frac) + data[low + 1] * frac
 
 
-def stamp_payload(payload: dict) -> dict:
-    """Stamp the uniform envelope keys into a bench payload in place.
-
-    ``schema_version`` marks the payload format; ``cpu`` records the
-    measuring host's topology.  Existing keys are left alone so a
-    benchmark that records richer CPU context keeps it.
-    """
-    payload.setdefault("schema_version", SCHEMA_VERSION)
-    payload.setdefault("cpu", cpu_info())
-    return payload
-
-
 def write_bench_payload(payload: dict, out, default_name: str) -> Path:
     """Stamp, write, and echo a bench payload.
 
-    ``out=None`` targets ``<repo root>/<default_name>`` — the
-    committed location every ``bench_*.py`` script-mode run updates.
+    Stamping adds the uniform envelope keys in place: ``schema_version``
+    marks the payload format; ``cpu`` records the measuring host's
+    topology.  Existing keys are left alone so a benchmark that records
+    richer CPU context keeps it.  ``out=None`` targets
+    ``<repo root>/<default_name>`` — the committed location every
+    ``bench_*.py`` script-mode run updates.
     """
-    payload = stamp_payload(payload)
+    payload.setdefault("schema_version", SCHEMA_VERSION)
+    payload.setdefault("cpu", cpu_info())
     path = Path(out) if out else REPO_ROOT / default_name
     path.write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))
@@ -119,9 +101,9 @@ def bench_script_main(
     scales=("smoke", "normal", "full"),
     argv=None,
 ) -> None:
-    """The shared ``--scale``/``--out`` script-mode entry point.
+    """The shared ``--scale``/``--out`` entry point.
 
-    Every ``bench_*.py`` script mode is the same four lines: parse the
+    Every ``bench_*.py`` script is the same four lines: parse the
     two flags, call the payload builder with the chosen scale, stamp
     the envelope, write to the repo root.  ``run`` is that builder —
     ``run(scale) -> dict``.

@@ -34,22 +34,15 @@ and flash-crowd scenarios.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 from pathlib import Path
-
-try:  # pytest-benchmark path (optional; the script path needs neither)
-    import pytest
-except ImportError:  # pragma: no cover - script-only environments
-    pytest = None
 
 if not __package__:  # invoked as a script: self-contained path setup
     _root = Path(__file__).resolve().parents[1]
     sys.path.insert(0, str(_root))          # for benchmarks._scale
     sys.path.insert(0, str(_root / "src"))  # for repro (no PYTHONPATH needed)
-from benchmarks._scale import bench_scale, bench_script_main
+from benchmarks._scale import bench_script_main
 from repro.core.pipeline import solve_allocation
 from repro.dynamic import SCENARIOS, DynamicSession, apply_delta
 from repro.graphs.generators import slow_spread_instance
@@ -113,34 +106,6 @@ def _cold_replay(instance, deltas, seed):
     return results, seconds
 
 
-if pytest is not None:
-
-    @pytest.fixture(scope="module")
-    def workloads():
-        return build_workloads(bench_scale())
-
-    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_dynamic_warm_replay(benchmark, workloads, scenario):
-        instance, deltas = workloads[0][scenario]
-        _, steps, _ = benchmark.pedantic(
-            lambda: _warm_replay(instance, deltas, seed=0),
-            rounds=1, iterations=1,
-        )
-        assert len(steps) == len(deltas)
-
-    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_dynamic_cold_replay(benchmark, workloads, scenario):
-        instance, deltas = workloads[0][scenario]
-        results, _ = benchmark.pedantic(
-            lambda: _cold_replay(instance, deltas, seed=0),
-            rounds=1, iterations=1,
-        )
-        assert len(results) == len(deltas)
-
-
-# ----------------------------------------------------------------------
-# Script mode: warm vs cold per scenario → BENCH_dynamic.json
-# ----------------------------------------------------------------------
 def run_dynamic_benchmarks(scale: str) -> dict:
     workloads, steps = build_workloads(scale)
     scenarios = {}

@@ -1,9 +1,8 @@
 """E5 — MPC rounds and space vs arboricity (Theorem 3/10).
 
-The pytest path runs the registered E5 experiment once under the
-benchmark timer.  Run this module as a script (mirroring
-``bench_kernels.py``) to record the faithful-vs-simulate round ledger
-at the larger faithful scales the columnar substrate unlocks, writing
+Records the faithful-vs-simulate round ledger of the E5 experiment
+(``python -m repro.experiments e5`` checks its claim) at the larger
+faithful scales the columnar substrate unlocks, writing
 ``BENCH_e5_mpc_rounds.json`` at the repo root::
 
     PYTHONPATH=src python benchmarks/bench_e5_mpc_rounds.py [--scale full]
@@ -24,40 +23,9 @@ if not __package__:  # invoked as a script: self-contained path setup
     _root = Path(__file__).resolve().parents[1]
     sys.path.insert(0, str(_root))          # for benchmarks._scale
     sys.path.insert(0, str(_root / "src"))  # for repro (no PYTHONPATH needed)
-try:
-    import pytest
-except ImportError:  # pragma: no cover - script-only environments
-    pytest = None
 
 from benchmarks._scale import bench_script_main
 
-
-if pytest is not None:
-    from benchmarks.conftest import run_experiment_once
-
-    def test_e5_mpc_rounds(benchmark, scale):
-        table = run_experiment_once(benchmark, "e5", scale)
-        sim = [r for r in table.rows if r["mode"] == "simulate"]
-        # Who wins: measured MPC rounds beat the AZM18 bill at every λ.
-        assert all(r["mpc_rounds"] < r["azm18_rounds"] for r in sim)
-        # The driver can stop early via the certificate, never late.
-        assert all(r["mpc_rounds"] <= r["model_predicted"] for r in sim)
-        # Faithful row: space budget respected.
-        faithful = [r for r in table.rows if r["mode"] == "faithful"]
-        assert faithful
-        assert faithful[0]["space_violations"] == 0
-        assert faithful[0]["peak_machine_words"] <= faithful[0]["machine_budget_words"]
-        # Adaptive rows: same budget respected, trajectory audited.
-        adaptive = [r for r in table.rows if r["mode"] == "faithful(adaptive)"]
-        assert adaptive
-        assert all(r["space_violations"] == 0 for r in adaptive)
-        assert all(r["certificate_crosscheck"] for r in adaptive)
-        assert all(r["budget_trajectory"] for r in adaptive)
-
-
-# ----------------------------------------------------------------------
-# Script mode: faithful vs simulate round ledgers → BENCH_e5_mpc_rounds.json
-# ----------------------------------------------------------------------
 # One source of truth for the faithful ladder and constants: the E5
 # experiment itself — this script records the same instances.
 from repro.experiments.exp_mpc_rounds import ALPHA, EPSILON, _FAITHFUL_SIZES

@@ -1,13 +1,9 @@
-"""Micro-benchmarks of the computational kernels.
+"""Benchmark of the shared round kernel under every registered backend.
 
-These are classical pytest-benchmark timings (many iterations) of the
-inner loops the experiments spend their time in — useful for tracking
-performance regressions of the library itself, orthogonal to the
-scientific tables.
-
-The kernel-backend section benchmarks the shared round kernel
-(DESIGN.md §6/§11) under every registered backend.  Run this module as
-a script to regenerate ``BENCH_kernels.json`` at the repo root::
+Times the inner loop the experiments spend their time in (DESIGN.md
+§6/§11) — useful for tracking performance regressions of the library
+itself, orthogonal to the scientific tables.  Run this module as a
+script to regenerate ``BENCH_kernels.json`` at the repo root::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--scale full]
 
@@ -24,98 +20,23 @@ is what is measured, not object-identity caching.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-try:  # pytest-benchmark path (optional; the script path needs neither)
-    import pytest
-except ImportError:  # pragma: no cover - script-only environments
-    pytest = None
-
 if not __package__:  # invoked as a script: self-contained path setup
     _root = Path(__file__).resolve().parents[1]
     sys.path.insert(0, str(_root))          # for benchmarks._scale
     sys.path.insert(0, str(_root / "src"))  # for repro (no PYTHONPATH needed)
-from benchmarks._scale import bench_scale, bench_script_main
-from repro.baselines.exact import solve_exact
-from repro.core.local_driver import solve_fractional_fixed_tau
+from benchmarks._scale import bench_script_main
 from repro.core.pipeline import solve_allocation, solve_allocation_many
 from repro.core.proportional import ProportionalRun
-from repro.core.sampled import SampledRun
-from repro.graphs.arboricity import core_numbers
 from repro.graphs.generators import union_of_forests
 from repro.kernels import backend_availability, use_backend, workspace_for
-from repro.rounding.sampling import round_once
 
 _SIZES = {"smoke": [200], "normal": [200, 2000], "full": [200, 2000, 20000]}
-_N = _SIZES[bench_scale()][-1]  # pytest path benchmarks the scale's largest size
-
-
-if pytest is not None:
-
-    @pytest.fixture(scope="module")
-    def instance():
-        return union_of_forests(_N, _N, 4, capacity=2, seed=0)
-
-    def test_kernel_proportional_round(benchmark, instance):
-        """One vectorized Algorithm-1 round (the O(m) inner loop)."""
-        run = ProportionalRun(instance.graph, instance.capacities, 0.1)
-        run.step()
-        benchmark(run.step)
-        assert run.rounds_completed > 1
-
-    @pytest.mark.parametrize("backend", ["reference", "optimized", "native"])
-    def test_kernel_round_by_backend(benchmark, instance, backend):
-        """The round kernel under each registered backend."""
-        reason = backend_availability(backend).get(backend)
-        if reason is not None:
-            pytest.skip(f"backend {backend!r} unavailable: {reason}")
-        with use_backend(backend):
-            run = ProportionalRun(instance.graph, instance.capacities, 0.1)
-            run.step()
-            benchmark(run.step)
-        assert run.rounds_completed > 1
-
-    def test_kernel_sampled_phase(benchmark, instance):
-        """One Algorithm-2 phase (grouping + sampling + B rounds)."""
-        run = SampledRun(
-            instance.graph, instance.capacities, 0.25, block=3, sample_budget=16,
-            sampler="fast", seed=0, record_estimates=False,
-        )
-        benchmark.pedantic(run.run_phase, rounds=3, iterations=1)
-        assert run.phases_completed >= 3
-
-    def test_kernel_degeneracy(benchmark, instance):
-        ea, eb = instance.graph.undirected_edges()
-        n = instance.graph.n_vertices
-        result = benchmark(lambda: int(core_numbers(n, ea, eb).max()))
-        assert result >= 1
-
-    def test_kernel_exact_optimum(benchmark, instance):
-        """The Dinic OPT oracle on the benchmark instance."""
-        result = benchmark.pedantic(
-            lambda: solve_exact(instance.graph, instance.capacities).value,
-            rounds=1,
-            iterations=1,
-        )
-        assert result > 0
-
-    def test_kernel_rounding(benchmark, instance):
-        frac = solve_fractional_fixed_tau(instance, 0.25).allocation
-        out = benchmark(
-            lambda: round_once(instance.graph, instance.capacities, frac, seed=1).size
-        )
-        assert out >= 0
-
-
-# ----------------------------------------------------------------------
-# Script mode: all registered backends → BENCH_kernels.json
-# ----------------------------------------------------------------------
 _BACKENDS = ("reference", "optimized", "native")
 
 

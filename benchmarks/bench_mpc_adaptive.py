@@ -37,8 +37,6 @@ Run as a script to regenerate ``BENCH_mpc_adaptive.json``::
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import sys
 import time
@@ -47,16 +45,11 @@ from pathlib import Path
 
 import numpy as np
 
-try:  # pytest-benchmark path (optional; the script path needs neither)
-    import pytest
-except ImportError:  # pragma: no cover - script-only environments
-    pytest = None
-
 if not __package__:  # invoked as a script: self-contained path setup
     _root = Path(__file__).resolve().parents[1]
     sys.path.insert(0, str(_root))          # for benchmarks._scale
     sys.path.insert(0, str(_root / "src"))  # for repro (no PYTHONPATH needed)
-from benchmarks._scale import bench_scale, bench_script_main, cpu_info
+from benchmarks._scale import bench_script_main, cpu_info
 from repro.core.mpc_driver import solve_allocation_mpc
 from repro.graphs.generators import skew_frontier_instance
 from repro.mpc.machine import SpaceViolation
@@ -228,23 +221,6 @@ def run_adaptive_benchmarks(scale: str) -> dict:
         "substrate_crosscheck": crosscheck,
         "cpu": cpu_info(),
     }
-
-
-if pytest is not None:
-
-    def test_fixed_arm_inside_frontier(benchmark):
-        """The fixed arm at the last violation-free ladder size."""
-        row = benchmark.pedantic(lambda: _run_fixed(32), rounds=1, iterations=1)
-        assert row["completed"] and row["violation"] is None
-
-    def test_adaptive_arm_past_frontier(benchmark):
-        """The adaptive arm at the scale's largest ladder size."""
-        n = _ADAPTIVE_NS[bench_scale()][-1]
-        row, result = benchmark.pedantic(
-            lambda: _run_adaptive(n), rounds=1, iterations=1
-        )
-        assert result.ledger.violations == []
-        assert row["certificate_crosscheck"]
 
 
 def main(argv=None) -> None:

@@ -20,24 +20,17 @@ of a wrong answer is worthless.  Run as a script to regenerate
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-try:  # pytest-benchmark path (optional; the script path needs neither)
-    import pytest
-except ImportError:  # pragma: no cover - script-only environments
-    pytest = None
-
 if not __package__:  # invoked as a script: self-contained path setup
     _root = Path(__file__).resolve().parents[1]
     sys.path.insert(0, str(_root))          # for benchmarks._scale
     sys.path.insert(0, str(_root / "src"))  # for repro (no PYTHONPATH needed)
-from benchmarks._scale import bench_scale, bench_script_main
+from benchmarks._scale import bench_script_main
 from repro.core.mpc_driver import solve_allocation_mpc
 from repro.graphs.generators import union_of_forests
 from repro.mpc.cluster import MPCCluster
@@ -56,8 +49,6 @@ _EPS = 0.2
 # ball volume so the S-budget stays feasible (zero violations required).
 _DRIVER_N = {"smoke": 16, "normal": 32, "full": 48}
 _DRIVER_SLACK = {"smoke": 512.0, "normal": 512.0, "full": 1024.0}
-
-_N = _SIZES[bench_scale()][-1]  # pytest path benchmarks the scale's largest size
 
 
 def _ledger(cluster) -> list[tuple]:
@@ -84,40 +75,6 @@ def _direct_once(instance, substrate: str):
     return time.perf_counter() - t0, res, cluster
 
 
-if pytest is not None:
-
-    @pytest.fixture(scope="module")
-    def instance():
-        return union_of_forests(_N, _N, 3, capacity=2, seed=0)
-
-    @pytest.mark.parametrize("substrate", ["object", "columnar"])
-    def test_direct_simulation_by_substrate(benchmark, instance, substrate):
-        """The three-exchange dynamics round under each substrate."""
-        elapsed, res, _ = benchmark.pedantic(
-            lambda: _direct_once(instance, substrate), rounds=1, iterations=1
-        )
-        assert res.violations == []
-        assert res.mpc_rounds == 3 * _TAU
-
-    @pytest.mark.parametrize("substrate", ["object", "columnar"])
-    def test_faithful_driver_by_substrate(benchmark, substrate):
-        """The Theorem-3 driver in faithful mode under each substrate."""
-        n = _DRIVER_N[bench_scale()]
-        inst = union_of_forests(n, n, 2, capacity=2, seed=0)
-        res = benchmark.pedantic(
-            lambda: solve_allocation_mpc(
-                inst, _EPS, lam=2, mode="faithful", seed=0, sample_budget=6,
-                space_slack=_DRIVER_SLACK[bench_scale()], substrate=substrate,
-            ),
-            rounds=1,
-            iterations=1,
-        )
-        assert res.ledger.violations == []
-
-
-# ----------------------------------------------------------------------
-# Script mode: object vs columnar substrate → BENCH_mpc_substrate.json
-# ----------------------------------------------------------------------
 def _assert_direct_parity(res_o, cl_o, res_c, cl_c, n: int) -> None:
     if not (
         np.array_equal(res_o.beta_exp, res_c.beta_exp)

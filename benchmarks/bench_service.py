@@ -26,9 +26,7 @@ root::
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import json
 import os
 import sys
 import tempfile
@@ -39,7 +37,7 @@ if not __package__:  # invoked as a script: self-contained path setup
     _root = Path(__file__).resolve().parents[1]
     sys.path.insert(0, str(_root))          # for benchmarks._scale
     sys.path.insert(0, str(_root / "src"))  # for repro (no PYTHONPATH needed)
-from benchmarks._scale import bench_scale, bench_script_main, cpu_info, percentile
+from benchmarks._scale import bench_script_main, cpu_info, percentile
 from repro.graphs.generators import slow_spread_instance
 from repro.serve.service import AllocationService, ServiceClient
 from repro.serve.shm import instance_hash

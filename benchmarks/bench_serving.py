@@ -32,24 +32,16 @@ inline; cold-path bit-parity is asserted in ``tests/test_serve.py``.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import time
 from pathlib import Path
 
-try:  # pytest-benchmark path (optional; the script path needs neither)
-    import pytest
-except ImportError:  # pragma: no cover - script-only environments
-    pytest = None
-
 if not __package__:  # invoked as a script: self-contained path setup
     _root = Path(__file__).resolve().parents[1]
     sys.path.insert(0, str(_root))          # for benchmarks._scale
     sys.path.insert(0, str(_root / "src"))  # for repro (no PYTHONPATH needed)
-from benchmarks._scale import bench_scale, bench_script_main, cpu_info, percentile
-from repro.core.pipeline import solve_allocation
+from benchmarks._scale import bench_script_main, cpu_info, percentile
 from repro.graphs.generators import slow_spread_instance
 from repro.serve import AllocationSession, SolveRequest, solve_stream
 from repro.utils.rng import spawn
@@ -102,6 +94,7 @@ def _cold_loop(instance, requests, seed) -> tuple[list, list]:
         latencies.append(time.perf_counter() - t0)
     return results, latencies
 
+
 def _session_serial(instance, requests, seed):
     session = AllocationSession(instance, epsilon=_EPSILON, boost=False)
     streams = spawn(seed, len(requests))
@@ -129,39 +122,6 @@ def _session_batch(instance, requests, seed) -> tuple[AllocationSession, list]:
     return session, results
 
 
-if pytest is not None:
-
-    @pytest.fixture(scope="module")
-    def workload():
-        return build_workload(bench_scale())
-
-    def test_serving_cold_loop(benchmark, workload):
-        instance, requests, _ = workload
-        results, _ = benchmark.pedantic(
-            lambda: _cold_loop(instance, requests, seed=0), rounds=1, iterations=1
-        )
-        assert len(results) == len(requests)
-
-    def test_serving_session(benchmark, workload):
-        instance, requests, _ = workload
-        _, results, _ = benchmark.pedantic(
-            lambda: _session_serial(instance, requests, seed=0),
-            rounds=1, iterations=1,
-        )
-        assert all(r.mpc.certificate.satisfied for r in results)
-
-    def test_serving_batch(benchmark, workload):
-        instance, requests, _ = workload
-        _, results = benchmark.pedantic(
-            lambda: _session_batch(instance, requests, seed=0),
-            rounds=1, iterations=1,
-        )
-        assert len(results) == len(requests)
-
-
-# ----------------------------------------------------------------------
-# Script mode: cold vs session vs batch → BENCH_serving.json
-# ----------------------------------------------------------------------
 def run_serving_benchmarks(scale: str) -> dict:
     instance, requests, _ = build_workload(scale)
     n = len(requests)

@@ -1,30 +1,25 @@
-"""Guard: committed BENCH_*.json files must hold their recorded bars.
+"""Floor gate: the committed BENCH_*.json payloads must hold their bars.
 
-Every benchmark in this repository writes its acceptance bar *into*
-its payload (``meets_2x_bar``, ``meets_3x_bar``, ``scaling_bar`` …).
-That makes a regression self-documenting — and committable by
-accident: regenerate a payload on a bad build, commit it, and the
-repository now records a miss as if it were fine.  This script is the
-CI tripwire (the ``sharding`` job): it re-reads every committed
-payload and fails if any recorded bar is below its floor.
+``BARS`` is the one table of floors: one row per bar, naming the
+payload it lives in, its dotted key path, the floor it must meet,
+where the payload records whether the bar applies on the measuring
+host, and whether a missing value fails the gate.  Floors are
+constants in this table; a payload never sets its own floor.
 
-Bars that are hardware-conditional (the sharding scaling bar needs a
-multi-core host) pass when the payload records them as not applicable
-— an honest "could not measure here" is not a regression; a recorded
-``"met": false`` is.
+Bars that need particular hardware (the sharding scaling bar needs a
+multi-core host) are skipped when the payload records them as not
+applicable — an honest "could not measure here" is not a regression;
+a measured miss is.
 
-Beyond the per-payload bars, the committed ``BENCH_trajectory.json``
-(written by ``bench_trajectory.py``) must agree bar-for-bar with the
-payloads it indexes — regenerating a payload without regenerating the
-trajectory is a stale-trajectory failure, and editing the trajectory
-by hand is a disagreement failure.  ``--diff FRESH_DIR`` compares a
-freshly recorded payload tree (e.g. a CI smoke run) against the
-*committed* trajectory's floors without touching the committed files.
-
-Run from the repo root (exit code 0/1)::
+Run from the repo root (exit code 0/1); on success it prints one line
+per bar — id, value, floor::
 
     python benchmarks/check_bench_floors.py
     python benchmarks/check_bench_floors.py --diff /tmp/fresh_bench
+
+``--diff FRESH_DIR`` holds a freshly recorded payload tree (e.g. a CI
+smoke run) to the same table; payloads the fresh run did not produce
+are skipped, but checking no bar at all fails.
 """
 
 from __future__ import annotations
@@ -33,290 +28,167 @@ import argparse
 import json
 import sys
 from pathlib import Path
-
-if not __package__:  # invoked as a script: self-contained path setup
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-
-from benchmarks.bench_trajectory import TRAJECTORY_SCHEMA, build_bars
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-TRAJECTORY_NAME = "BENCH_trajectory.json"
 
 
-def _fail(name: str, message: str) -> str:
-    return f"{name}: {message}"
+class Bar(NamedTuple):
+    payload: str                   # BENCH_*.json file at the repo root
+    path: str                      # dotted key path; "*" spans every list item
+    op: str                        # "is" (flag), ">=" (floor) or "<=" (ceiling)
+    bound: object                  # the constant the value is held to
+    applicable: str | None = None  # path of the payload's own "host can measure" flag
+    required: bool = True          # a missing value fails the gate
+
+    @property
+    def id(self) -> str:
+        return f"{self.payload[len('BENCH_'):-len('.json')]}/{self.path}"
 
 
-def check_serving(payload: dict) -> list[str]:
-    problems = []
-    if payload.get("meets_2x_bar") is not True:
-        problems.append("meets_2x_bar is not true")
-    speedup = payload.get("session_speedup_over_cold", 0)
-    if not isinstance(speedup, (int, float)) or speedup < 2.0:
-        problems.append(f"session_speedup_over_cold {speedup!r} < 2.0 floor")
-    return problems
-
-
-def check_dynamic(payload: dict) -> list[str]:
-    problems = []
-    bars = payload.get("meets_3x_bar")
-    if not isinstance(bars, dict) or not bars:
-        problems.append("meets_3x_bar missing or empty")
-    else:
-        for scenario, met in bars.items():
-            if met is not True:
-                problems.append(f"meets_3x_bar[{scenario!r}] is not true")
-    return problems
-
-
-def check_kernels(payload: dict) -> list[str]:
-    problems = []
-    if payload.get("optimized_beats_seed") is not True:
-        problems.append("optimized_beats_seed is not true")
-    speedup = payload.get("largest_instance_speedup", 0)
-    if not isinstance(speedup, (int, float)) or speedup < 1.0:
-        problems.append(f"largest_instance_speedup {speedup!r} < 1.0 floor")
-    return problems
-
-
-def check_mpc_substrate(payload: dict) -> list[str]:
-    problems = []
-    if payload.get("columnar_beats_object") is not True:
-        problems.append("columnar_beats_object is not true")
-    if payload.get("parity_checked") is not True:
-        problems.append("parity_checked is not true")
-    return problems
-
-
-def check_mpc_adaptive(payload: dict) -> list[str]:
-    problems = []
-    bar = payload.get("frontier_bar")
-    if not isinstance(bar, dict):
-        problems.append("frontier_bar missing")
-        return problems
-    if bar.get("met") is not True:
-        problems.append(
-            f"frontier_bar not met (frontier_ratio="
-            f"{payload.get('frontier_ratio')!r}, "
-            f"threshold={bar.get('threshold')!r})"
-        )
-    ratio = payload.get("frontier_ratio", 0)
-    if not isinstance(ratio, (int, float)) or ratio < 4.0:
-        problems.append(f"frontier_ratio {ratio!r} < 4.0 floor")
-    if payload.get("certificates_bit_checked") is not True:
-        problems.append("certificates_bit_checked is not true")
-    return problems
-
-
-def check_sharding(payload: dict) -> list[str]:
-    problems = []
-    if payload.get("determinism_bit_identical") is not True:
-        problems.append("determinism_bit_identical is not true")
-    bar = payload.get("scaling_bar")
-    if not isinstance(bar, dict):
-        problems.append("scaling_bar missing")
-        return problems
-    if bar.get("applicable"):
-        if bar.get("met") is not True:
-            problems.append(
-                f"scaling_bar recorded as applicable but not met "
-                f"(speedup_4_workers={bar.get('speedup_4_workers')!r}, "
-                f"threshold={bar.get('threshold')!r})"
-            )
-    elif bar.get("applicable") is not False:
-        problems.append("scaling_bar.applicable must be true or false")
-    return problems
-
-
-def check_service(payload: dict) -> list[str]:
-    problems = []
-    warmth = payload.get("restart_warmth")
-    if not isinstance(warmth, dict):
-        problems.append("restart_warmth missing")
-        return problems
-    if warmth.get("meets_3x_bar") is not True:
-        problems.append("restart_warmth.meets_3x_bar is not true")
-    speedup = warmth.get("restart_speedup", 0)
-    if not isinstance(speedup, (int, float)) or speedup < 3.0:
-        problems.append(f"restart_speedup {speedup!r} < 3.0 floor")
-    if warmth.get("restored_warm_start") is not True:
-        problems.append("restored_warm_start is not true")
-    latency = (payload.get("concurrent_load") or {}).get("latency")
-    if not isinstance(latency, dict) or not all(
-        isinstance(latency.get(k), (int, float))
-        for k in ("p50_ms", "p95_ms", "p99_ms")
-    ):
-        problems.append("concurrent_load latency histogram incomplete")
-    return problems
-
-
-# One row per committed payload: (filename, required, checker).  The
-# e5 round-count payload records measurements without a bar — nothing
-# to guard there.
-CHECKS = (
-    ("BENCH_serving.json", True, check_serving),
-    ("BENCH_dynamic.json", True, check_dynamic),
-    ("BENCH_kernels.json", True, check_kernels),
-    ("BENCH_mpc_substrate.json", True, check_mpc_substrate),
-    ("BENCH_mpc_adaptive.json", True, check_mpc_adaptive),
-    ("BENCH_sharding.json", True, check_sharding),
-    ("BENCH_service.json", True, check_service),
+DYNAMIC_SCENARIOS = (
+    "adversarial_churn",
+    "correlated_flash_crowd",
+    "diurnal_wave",
+    "flash_crowd",
+    "rolling_maintenance",
 )
 
+BARS = (
+    Bar("BENCH_serving.json", "session_speedup_over_cold", ">=", 2.0),
+    Bar("BENCH_serving.json", "meets_2x_bar", "is", True),
+    *(
+        Bar("BENCH_dynamic.json", f"scenarios.{name}.warm_speedup_over_cold", ">=", 3.0)
+        for name in DYNAMIC_SCENARIOS
+    ),
+    Bar("BENCH_dynamic.json", "meets_3x_bar.diurnal_wave", "is", True),
+    Bar("BENCH_dynamic.json", "meets_3x_bar.flash_crowd", "is", True),
+    Bar("BENCH_kernels.json", "largest_instance_speedup", ">=", 1.0),
+    Bar("BENCH_kernels.json", "optimized_beats_seed", "is", True),
+    Bar("BENCH_mpc_substrate.json", "columnar_beats_object", "is", True),
+    Bar("BENCH_mpc_substrate.json", "parity_checked", "is", True),
+    Bar("BENCH_mpc_adaptive.json", "frontier_ratio", ">=", 4.0),
+    Bar("BENCH_mpc_adaptive.json", "frontier_bar.met", "is", True),
+    Bar("BENCH_mpc_adaptive.json", "certificates_bit_checked", "is", True),
+    Bar("BENCH_sharding.json", "determinism_bit_identical", "is", True),
+    Bar("BENCH_sharding.json", "scaling_bar.speedup_4_workers", ">=", 2.5,
+        applicable="scaling_bar.applicable"),
+    Bar("BENCH_service.json", "restart_warmth.restart_speedup", ">=", 3.0),
+    Bar("BENCH_service.json", "restart_warmth.meets_3x_bar", "is", True),
+    Bar("BENCH_service.json", "restart_warmth.restored_warm_start", "is", True),
+    *(
+        Bar("BENCH_service.json", f"concurrent_load.latency.{q}_ms", ">=", 0.0)
+        for q in ("p50", "p95", "p99")
+    ),
+    Bar("BENCH_e5_mpc_rounds.json", "instances.*.allocations_match", "is", True),
+    Bar("BENCH_e5_mpc_rounds.json", "instances.*.space_violations", "<=", 0),
+)
 
-def check_trajectory(root: Path) -> list[str]:
-    """The committed trajectory must mirror the payloads bar-for-bar.
-
-    Floors themselves are guarded by the per-payload checkers above;
-    this guards the *index*: every bar derivable from the committed
-    payloads appears in the trajectory with the identical entry, and
-    the trajectory holds no bar without a source.  Payloads already
-    reported missing/malformed by the per-payload pass are excluded
-    from the comparison rather than double-reported.
-    """
-    path = root / TRAJECTORY_NAME
-    if not path.exists():
-        return [_fail(TRAJECTORY_NAME, "missing from the repo root")]
-    try:
-        committed = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        return [_fail(TRAJECTORY_NAME, f"not valid JSON ({exc})")]
-    if committed.get("schema") != TRAJECTORY_SCHEMA:
-        return [
-            _fail(TRAJECTORY_NAME, f"unknown schema {committed.get('schema')!r}")
-        ]
-    recorded = committed.get("bars")
-    if not isinstance(recorded, dict):
-        return [_fail(TRAJECTORY_NAME, "bars mapping missing")]
-    problems = []
-    rebuilt, unreadable = build_bars(root, missing_ok=True)
-    for bar_id, entry in sorted(rebuilt.items()):
-        got = recorded.get(bar_id)
-        if got is None:
-            problems.append(
-                _fail(
-                    TRAJECTORY_NAME,
-                    f"bar {bar_id!r} missing — stale trajectory, "
-                    f"re-run benchmarks/bench_trajectory.py",
-                )
-            )
-        elif got != entry:
-            problems.append(
-                _fail(
-                    TRAJECTORY_NAME,
-                    f"bar {bar_id!r} disagrees with its payload: "
-                    f"recorded {got!r}, payload says {entry!r}",
-                )
-            )
-    for bar_id in sorted(set(recorded) - set(rebuilt)):
-        entry = recorded[bar_id]
-        source = entry.get("file") if isinstance(entry, dict) else None
-        if source in unreadable:
-            continue
-        problems.append(
-            _fail(TRAJECTORY_NAME, f"bar {bar_id!r} has no source payload")
-        )
-    return problems
+_MISSING = object()
 
 
-def run_checks(root: Path = ROOT) -> list[str]:
-    """All floor failures under ``root`` (empty = every bar holds).
+def _lookup(node, keys: list[str]):
+    """The value at ``keys`` under ``node``, or ``_MISSING``.  A ``*``
+    key yields the list of values over every item of a non-empty list."""
+    if not keys:
+        return node
+    key, rest = keys[0], keys[1:]
+    if key == "*":
+        values = [_lookup(item, rest) for item in node] if isinstance(node, list) else []
+        return values if values and all(v is not _MISSING for v in values) else _MISSING
+    if isinstance(node, dict) and key in node:
+        return _lookup(node[key], rest)
+    return _MISSING
 
-    ``root`` is injectable so the checker itself is unit-testable
-    against synthetic payload trees (tests/test_check_bench_floors.py).
+
+def _holds(op: str, bound, value) -> bool:
+    if isinstance(value, list):
+        return all(_holds(op, bound, v) for v in value)
+    if op == "is":
+        return value is bound
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    return value >= bound if op == ">=" else value <= bound
+
+
+def check_tree(root: Path = ROOT, *, fresh: bool = False) -> tuple[list[str], list[str]]:
+    """``(failures, report)`` for every bar of the payloads under ``root``.
+
+    ``fresh=True`` is the ``--diff`` mode: a payload missing from
+    ``root`` is reported and skipped instead of failing, and checking
+    no bar at all is a failure (a vacuous pass hides a broken smoke
+    job).
     """
     failures: list[str] = []
-    for name, required, checker in CHECKS:
+    report: list[str] = []
+    checked = 0
+    for name in dict.fromkeys(bar.payload for bar in BARS):
         path = root / name
         if not path.exists():
-            if required:
-                failures.append(_fail(name, "missing from the repo root"))
+            if fresh:
+                report.append(f"{name}: not in the fresh run, skipped")
+            else:
+                failures.append(f"{name}: missing from the repo root")
             continue
         try:
             payload = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
-            failures.append(_fail(name, f"not valid JSON ({exc})"))
+            failures.append(f"{name}: not valid JSON ({exc})")
             continue
-        for problem in checker(payload):
-            failures.append(_fail(name, problem))
-    failures.extend(check_trajectory(root))
-    return failures
+        for bar in BARS:
+            if bar.payload != name:
+                continue
+            if bar.applicable is not None:
+                applies = _lookup(payload, bar.applicable.split("."))
+                if not isinstance(applies, bool):
+                    failures.append(f"{bar.id}: {bar.applicable} must be true or false")
+                    continue
+                if not applies:
+                    report.append(f"{bar.id}: not applicable on the measuring host")
+                    continue
+            value = _lookup(payload, bar.path.split("."))
+            if value is _MISSING:
+                if bar.required:
+                    failures.append(f"{bar.id}: missing")
+                else:
+                    report.append(f"{bar.id}: not recorded, optional")
+                continue
+            checked += 1
+            line = f"{bar.id} = {value!r} (floor {bar.op} {bar.bound!r})"
+            if _holds(bar.op, bar.bound, value):
+                report.append(line)
+            else:
+                failures.append(f"{line}: not met")
+    if fresh and checked == 0:
+        failures.append(f"no bars under {root} to check")
+    return failures, report
 
 
-def diff_against_trajectory(
-    fresh_root: Path, root: Path = ROOT
-) -> tuple[list[str], list[str]]:
-    """``(failures, notes)`` comparing a fresh run to the committed floors.
+def run_checks(root: Path = ROOT, *, fresh: bool = False) -> list[str]:
+    """All floor failures under ``root`` (empty = every bar holds).
 
-    Every bar derivable from the payloads under ``fresh_root`` is held
-    to the floor the *committed* trajectory records for it.  Payloads a
-    smoke run did not produce are noted and skipped; comparing nothing
-    at all is itself a failure (a vacuous pass hides a broken smoke
-    job).
+    ``root`` is injectable so the gate itself is unit-testable against
+    synthetic payload trees (tests/test_check_bench_floors.py).
     """
-    try:
-        committed = json.loads((root / TRAJECTORY_NAME).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        return [_fail(TRAJECTORY_NAME, f"unreadable committed trajectory ({exc})")], []
-    recorded = committed.get("bars")
-    if committed.get("schema") != TRAJECTORY_SCHEMA or not isinstance(recorded, dict):
-        return [_fail(TRAJECTORY_NAME, "committed trajectory malformed")], []
-    fresh_bars, missing = build_bars(fresh_root, missing_ok=True)
-    failures: list[str] = []
-    notes: list[str] = [f"skipped {name}: not in fresh run" for name in missing]
-    compared = 0
-    for bar_id, fresh in sorted(fresh_bars.items()):
-        base = recorded.get(bar_id)
-        if base is None:
-            notes.append(f"new bar {bar_id}: not in committed trajectory")
-            continue
-        if not fresh["applicable"]:
-            notes.append(f"skipped {bar_id}: not applicable on this host")
-            continue
-        floor = base.get("floor")
-        value = fresh["value"]
-        compared += 1
-        held = value is True if isinstance(value, bool) else float(value) >= float(floor)
-        if not held:
-            failures.append(
-                f"{bar_id}: fresh value {value!r} below committed floor {floor!r}"
-            )
-    if compared == 0:
-        failures.append(
-            f"no fresh bars under {fresh_root} to compare against the trajectory"
-        )
-    return failures, notes
+    return check_tree(root, fresh=fresh)[0]
 
 
 def main(root: Path = ROOT, argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--diff", metavar="FRESH_DIR", default=None,
-        help="compare freshly recorded BENCH_*.json under FRESH_DIR "
-             "against the committed trajectory floors",
+        help="hold freshly recorded BENCH_*.json under FRESH_DIR to the floors",
     )
     args = parser.parse_args([] if argv is None else argv)
-    if args.diff:
-        failures, notes = diff_against_trajectory(Path(args.diff), root)
-        for note in notes:
-            print(f"  note: {note}")
-        if failures:
-            print("fresh-run regression(s) vs committed trajectory:", file=sys.stderr)
-            for failure in failures:
-                print(f"  - {failure}", file=sys.stderr)
-            return 1
-        print("fresh bars hold the committed trajectory floors")
-        return 0
-    failures = run_checks(root)
+    fresh = args.diff is not None
+    failures, report = check_tree(Path(args.diff) if fresh else root, fresh=fresh)
+    for line in report:
+        print(line)
     if failures:
         print("benchmark floor regression(s):", file=sys.stderr)
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         return 1
-    print(
-        f"all {len(CHECKS)} benchmark payloads and the trajectory "
-        f"hold their recorded floors"
-    )
     return 0
 
 

@@ -9,7 +9,10 @@ Examples::
     python -m repro.experiments --list
 
 ``--backend`` / ``--substrate`` select the engine driving every solve
-(a :class:`repro.api.SolverConfig` activated for the run).
+(a :class:`repro.api.SolverConfig` activated for the run).  Every run
+checks its experiment's claim; a failed claim prints
+``<id>: claim failed: …`` to stderr, the remaining experiments still
+run, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import sys
 
 from repro.experiments.harness import (
     REGISTRY,
+    ClaimFailed,
     _ensure_loaded,
     run_and_save,
 )
@@ -87,17 +91,22 @@ def main(argv: list[str] | None = None) -> int:
         print("an experiment id, 'all', or --list is required", file=sys.stderr)
         return 2
 
+    if experiment != "all" and experiment not in REGISTRY:
+        print(
+            f"unknown experiment {experiment!r}; "
+            f"valid: {', '.join(sorted(REGISTRY))}",
+            file=sys.stderr,
+        )
+        return 2
     targets = sorted(REGISTRY) if experiment == "all" else [experiment]
+    status = 0
     for exp_id in targets:
-        if exp_id not in REGISTRY:
-            print(
-                f"unknown experiment {exp_id!r}; "
-                f"valid: {', '.join(sorted(REGISTRY))}",
-                file=sys.stderr,
-            )
-            return 2
-        run_and_save(exp_id, scale=args.scale, seed=args.seed, config=config)
-    return 0
+        try:
+            run_and_save(exp_id, scale=args.scale, seed=args.seed, config=config)
+        except ClaimFailed as exc:
+            print(exc, file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

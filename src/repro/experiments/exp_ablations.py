@@ -25,10 +25,24 @@ _SCALE_FACTOR = {"smoke": 1, "normal": 4, "full": 10}
 EPSILON = 0.2
 
 
+def check(table: Table) -> None:
+    thr = [r for r in table.rows if r["ablation"] == "threshold_k"]
+    # Theorem 16: every constant threshold in [1/4, 4] stays within its
+    # predicted bound.
+    assert all(r["ratio"] <= r["predicted_bound"] + 1e-9 for r in thr)
+    # Phase-length ablation present with the spread column increasing.
+    phase = [r for r in table.rows if r["ablation"] == "phase_length_B"]
+    spreads = [r["spread_bound"] for r in phase]
+    assert spreads == sorted(spreads)
+    est = {r["setting"] for r in table.rows if r["ablation"] == "estimator"}
+    assert est == {"stratified", "pooled"}
+
+
 @register(
     "e10",
     "Ablations: thresholds, estimator, phase length",
     "T16 threshold robustness; L11 estimator form and (1+eps)^B spread",
+    check=check,
 )
 def run(*, scale: Scale = "normal", seed: int = 0) -> Table:
     f = _SCALE_FACTOR[scale]

@@ -53,10 +53,20 @@ def _families(scale: str, seed: int):
     ]
 
 
+def check(table: Table) -> None:
+    # The certified bound must hold on every row.
+    assert all(table.column("ok"))
+    # And the proportional output should beat plain greedy on average.
+    ratios = table.column("ratio")
+    greedy = table.column("greedy_ratio")
+    assert sum(ratios) / len(ratios) <= sum(greedy) / len(greedy) + 0.25
+
+
 @register(
     "e2",
     "Approximation ratio across families and epsilon",
     "T9: OPT <= (2+10eps) * MatchWeight at the tau(lambda, eps) budget",
+    check=check,
 )
 def run(*, scale: Scale = "normal", seed: int = 0) -> Table:
     table = Table(title="E2: fractional approximation vs guarantee")

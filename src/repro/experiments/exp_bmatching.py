@@ -47,11 +47,21 @@ def _random_instance(n_left, n_right, m, bmax, rng):
     )
 
 
+def check(table: Table) -> None:
+    # The generalized dynamics should stay within a small constant of
+    # optimal on these families and never collapse below greedy quality
+    # by more than a modest margin.
+    assert all(r["frac_ratio_worst"] <= 3.0 for r in table.rows)
+    b_values = table.column("b_max")
+    assert b_values == sorted(b_values)
+
+
 @register(
     "e12",
     "Extension: two-sided b-matching proportional dynamics",
     "S1.2.1 open question: empirical behaviour of the generalized dynamics "
     "(no guarantee claimed by the paper)",
+    check=check,
 )
 def run(*, scale: Scale = "normal", seed: int = 0) -> Table:
     n_left, n_right, m, reps = _SIZES[scale]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.baselines.exact import optimum_value
 from repro.experiments.harness import Scale, register
-from repro.graphs import degeneracy, exact_arboricity, profile_graph
+from repro.graphs import exact_arboricity, profile_graph
 from repro.graphs.generators import (
     adwords_instance,
     complete_bipartite_instance,
@@ -48,11 +48,21 @@ def _zoo(scale: str, seed: int):
     ]
 
 
+def check(table: Table) -> None:
+    assert len(table.rows) >= 10
+    # The generator certificates hold wherever exact λ was computed.
+    checked = [r for r in table.rows if "certificate_ok" in r]
+    assert checked, "no instance small enough for exact arboricity"
+    assert all(r["certificate_ok"] for r in checked)
+    assert all(r.get("sandwich_ok", True) for r in checked)
+
+
 @register(
     "e0",
     "Workload inventory",
     "Def. 4 sandwich: density ceiling <= lambda <= degeneracy <= 2*lambda-1 "
     "on every family; certified bounds hold",
+    check=check,
 )
 def run(*, scale: Scale = "normal", seed: int = 0) -> Table:
     table = Table(title="E0: workload families and their structure")

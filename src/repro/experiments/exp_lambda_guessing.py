@@ -38,10 +38,27 @@ EPSILON = 0.2
 ALPHA = 0.5
 
 
+def check(table: Table) -> None:
+    for row in table.rows:
+        # The §3.2.2 claim: λ-oblivious schedules stay within the
+        # worst-case constant of the known-λ budget.  (Eager per-phase
+        # testing trades 2 test rounds per phase against earlier
+        # stopping, so neither cadence dominates the other — both must
+        # simply respect the bound.)
+        cap = row["model_worstcase_overhead"] * row["known_budget_rounds"]
+        assert row["guessed_rounds"] <= cap
+        assert row["guessed_eager_rounds"] <= cap
+        # Certificate-stopped known-λ is never slower than its budget.
+        assert row["known_cert_rounds"] <= row["known_budget_rounds"]
+    # The measured overhead stays bounded across the λ sweep.
+    assert max(table.column("overhead_vs_budget")) <= 6.0
+
+
 @register(
     "e6",
     "Known-lambda vs lambda-guessing overhead",
     "S3.2.2: guessing sqrt(log lambda_i) = 2^i costs only a constant factor",
+    check=check,
 )
 def run(*, scale: Scale = "normal", seed: int = 0) -> Table:
     width, ks = _SIZES[scale]

@@ -29,10 +29,22 @@ _SIZES: dict[str, tuple[int, int, int]] = {
 EPSILON = 0.15
 
 
+def check(table: Table) -> None:
+    rows = table.rows
+    # The dense core is saturated from the very first round…
+    assert rows[0]["core_mean_util"] >= 1.0
+    # …while the fringe starts unsaturated and climbs monotonically-ish.
+    assert rows[0]["fringe_mean_util"] < 1.0
+    assert rows[-1]["fringe_mean_util"] > rows[0]["fringe_mean_util"]
+    # Mass spreads: the match weight improves over the trace.
+    assert rows[-1]["match_weight"] > rows[0]["match_weight"]
+
+
 @register(
     "e11",
     "Level-set dynamics on a planted dense core",
     "Remark 1: the dynamics saturate the densest part first, then spread",
+    check=check,
 )
 def run(*, scale: Scale = "normal", seed: int = 0) -> Table:
     core, ff, rounds = _SIZES[scale]

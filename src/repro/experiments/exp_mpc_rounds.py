@@ -19,7 +19,6 @@ against ``√log λ·log log λ``.
 from __future__ import annotations
 
 from repro.analysis.theory import shape_verdict
-from repro.core import params
 from repro.core.mpc_driver import solve_allocation_mpc
 from repro.experiments.harness import Scale, register
 from repro.graphs.generators import slow_spread_instance, union_of_forests
@@ -47,11 +46,31 @@ EPSILON = 0.2
 ALPHA = 0.5
 
 
+def check(table: Table) -> None:
+    sim = [r for r in table.rows if r["mode"] == "simulate"]
+    # Who wins: measured MPC rounds beat the AZM18 bill at every λ.
+    assert all(r["mpc_rounds"] < r["azm18_rounds"] for r in sim)
+    # The driver can stop early via the certificate, never late.
+    assert all(r["mpc_rounds"] <= r["model_predicted"] for r in sim)
+    # Faithful row: space budget respected.
+    faithful = [r for r in table.rows if r["mode"] == "faithful"]
+    assert faithful
+    assert faithful[0]["space_violations"] == 0
+    assert faithful[0]["peak_machine_words"] <= faithful[0]["machine_budget_words"]
+    # Adaptive rows: same budget respected, trajectory audited.
+    adaptive = [r for r in table.rows if r["mode"] == "faithful(adaptive)"]
+    assert adaptive
+    assert all(r["space_violations"] == 0 for r in adaptive)
+    assert all(r["certificate_crosscheck"] for r in adaptive)
+    assert all(r["budget_trajectory"] for r in adaptive)
+
+
 @register(
     "e5",
     "MPC rounds and space vs arboricity",
     "T3/T10: O(sqrt(log lambda) loglog lambda) MPC rounds, n^alpha local memory, "
     "O~(lambda n) total memory",
+    check=check,
 )
 def run(*, scale: Scale = "normal", seed: int = 0) -> Table:
     width, ks = _SIZES[scale]

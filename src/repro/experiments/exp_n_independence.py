@@ -33,10 +33,23 @@ EPSILON = 0.1
 CORE = 8
 
 
+def check(table: Table) -> None:
+    ours = table.column("ours_rounds")
+    azm18 = table.column("azm18_budget")
+    # Flat in n: largest-n round count within +2 of the smallest-n one.
+    assert max(ours) - min(ours) <= 2
+    # The baseline's budget strictly grows with n.
+    assert azm18 == sorted(azm18)
+    assert azm18[-1] > azm18[0]
+    # Who wins: ours beats the baseline budget at every n.
+    assert all(o < a for o, a in zip(ours, azm18))
+
+
 @register(
     "e3",
     "Round count vs n at fixed arboricity",
     "T2 vs prior art: certificate round is O(log lambda), flat in n; AZM18 budget is O(log n)",
+    check=check,
 )
 def run(*, scale: Scale = "normal", seed: int = 0) -> Table:
     table = Table(title=f"E3: n-independence at fixed core density (lambda≈{CORE})")

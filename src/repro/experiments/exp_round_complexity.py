@@ -38,10 +38,27 @@ _SIZES: dict[str, tuple[list[int], int, int]] = {
 EPSILON = 0.1
 
 
+def check(table: Table) -> None:
+    assert all(ok for ok in table.column("within_budget") if ok is not None)
+    stress = [
+        (row["lambda_bound"], row["rounds"])
+        for row in table.rows
+        if row.get("family") == "slow_spread"
+    ]
+    assert len(stress) >= 2
+    # Rounds must increase with λ on the stress family (the log-λ shape).
+    lams = [s[0] for s in stress]
+    rounds = [s[1] for s in stress]
+    assert rounds[-1] > rounds[0]
+    # Sub-linear: λ grew much faster than the rounds did.
+    assert (rounds[-1] / rounds[0]) < (lams[-1] / lams[0])
+
+
 @register(
     "e1",
     "Rounds vs arboricity (LOCAL, certificate-stopped)",
     "T2/T9: Algorithm 1 certifies (2+10eps) within ceil(log_{1+eps}(4*lam/eps))+1 rounds",
+    check=check,
 )
 def run(*, scale: Scale = "normal", seed: int = 0) -> Table:
     cores, width, forest_n = _SIZES[scale]

@@ -45,10 +45,22 @@ def _families(scale: str, seed: int):
     ]
 
 
+def check(table: Table) -> None:
+    # The §6 expectation bound holds (within Monte-Carlo error) per family.
+    assert all(table.column("bound_holds"))
+    for row in table.rows:
+        # Best-of-copies beats the one-shot mean; repair only grows it.
+        assert row["best_of_copies"] >= row["mean_one_shot"] - 1e-9
+        assert row["repaired"] >= row["best_of_copies"]
+        # Repaired allocations are maximal ⇒ at worst a 2-approximation.
+        assert row["repaired_ratio"] <= 2.0 + 1e-9
+
+
 @register(
     "e7",
     "Randomized rounding quality",
     "S6: E[|M|] >= wt(M_f)/9; whp via O(log n) parallel copies",
+    check=check,
 )
 def run(*, scale: Scale = "normal", seed: int = 0) -> Table:
     trials = _TRIALS[scale]

@@ -30,10 +30,24 @@ EPSILON = 0.25
 BLOCK = 2
 
 
+def check(table: Table) -> None:
+    rows = table.rows
+    # Error shrinks as the budget grows (compare first vs last finite row).
+    finite = [r for r in rows if not r["theoretical"]]
+    assert finite[0]["alloc_err_q99"] >= finite[-1]["alloc_err_q99"]
+    # At the theoretical budget the estimates are exact.
+    theoretical = [r for r in rows if r["theoretical"]]
+    assert theoretical, "theoretical-budget row missing"
+    assert theoretical[0]["beta_err_q99"] == 0
+    assert theoretical[0]["alloc_err_q99"] == 0
+    assert theoretical[0]["beta_beyond_eps12"] == 0
+
+
 @register(
     "e4",
     "Estimate concentration vs sample budget",
     "L11/L12: t=(1+eps)^{2B} eps^-5 log n samples keep estimates within eps/12 and eps/4 whp",
+    check=check,
 )
 def run(*, scale: Scale = "normal", seed: int = 0) -> Table:
     core, budgets, rounds = _SIZES[scale]

@@ -27,11 +27,24 @@ _SIZES: dict[str, list[int]] = {
 EPSILON = 0.1
 
 
+def check(table: Table) -> None:
+    rows = table.rows
+    # Split arboricity grows linearly with n (Θ(n) blow-up)…
+    assert rows[-1]["split_lambda"] >= rows[-1]["n_leaves"] / 4
+    assert rows[-1]["split_lambda"] > rows[0]["split_lambda"]
+    # …while the direct algorithm keeps the λ=1 certificate and budget.
+    assert all(r["direct_lambda"] == 1 for r in rows)
+    budgets = {r["direct_budget"] for r in rows}
+    assert len(budgets) == 1  # n-independent
+    assert all(r["direct_rounds"] <= r["direct_budget"] for r in rows)
+
+
 @register(
     "e9",
     "Arboricity blow-up of the splitting reduction on stars",
     "Remark S1.1: splitting a capacity-(n-1) star center creates K_{n,n-1} — "
     "arboricity 1 → Θ(n)",
+    check=check,
 )
 def run(*, scale: Scale = "normal", seed: int = 0) -> Table:
     table = Table(title="E9: star with center capacity n-1 — direct vs split")

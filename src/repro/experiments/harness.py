@@ -1,24 +1,29 @@
 """Experiment harness: registry, scales, result persistence.
 
 Every experiment module exposes ``run(scale, seed) -> Table`` and
-registers itself under its id (``e0`` … ``e12``; the full id set is
+registers it under its id (``e0`` … ``e12``; the full id set is
 pinned by ``EXPECTED_EXPERIMENT_IDS`` and asserted against the
 registry whenever the modules are loaded, so the registry and the
-module list cannot silently drift apart).  Three scales:
+module list cannot silently drift apart) together with
+``check(table)``: the assertions that hold the table to the paper
+claim it reproduces.  Every run applies the check, at every scale.
+Three scales:
 
 * ``smoke`` — seconds; used by the test suite to keep every experiment
-  permanently runnable;
-* ``normal`` — the default for ``pytest benchmarks/``;
+  and its claim permanently checked;
+* ``normal`` — the CLI default;
 * ``full`` — the sizes quoted in EXPERIMENTS.md.
 
 ``run_and_save`` renders the table to both ASCII (stdout-friendly) and
 markdown + JSON under ``benchmarks/results/`` so EXPERIMENTS.md can
-cite regenerable artifacts.
+cite regenerable artifacts; the table is written before it is checked,
+so a failed claim leaves the evidence on disk.
 """
 
 from __future__ import annotations
 
 import importlib
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Literal, Optional
@@ -31,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "Scale",
     "ExperimentSpec",
+    "ClaimFailed",
     "EXPECTED_EXPERIMENT_IDS",
     "REGISTRY",
     "register",
@@ -72,18 +78,26 @@ class ExperimentSpec:
     title: str
     claim: str                      # the paper statement being checked
     run: Callable[..., Table]       # run(scale=..., seed=...) -> Table
+    check: Callable[[Table], None]  # asserts the claim on run's table
+
+
+class ClaimFailed(AssertionError):
+    """An experiment's table contradicts the claim it was registered with."""
 
 
 REGISTRY: dict[str, ExperimentSpec] = {}
 
 
-def register(exp_id: str, title: str, claim: str):
-    """Decorator: register a ``run(scale, seed)`` callable."""
+def register(exp_id: str, title: str, claim: str, check: Callable[[Table], None]):
+    """Decorator: register a ``run(scale, seed)`` callable and the
+    ``check(table)`` that asserts ``claim`` on its table."""
 
     def deco(fn: Callable[..., Table]) -> Callable[..., Table]:
         if exp_id in REGISTRY:
             raise ValueError(f"duplicate experiment id {exp_id!r}")
-        REGISTRY[exp_id] = ExperimentSpec(exp_id=exp_id, title=title, claim=claim, run=fn)
+        REGISTRY[exp_id] = ExperimentSpec(
+            exp_id=exp_id, title=title, claim=claim, run=fn, check=check
+        )
         return fn
 
     return deco
@@ -111,21 +125,20 @@ def get_experiment(exp_id: str) -> ExperimentSpec:
         ) from None
 
 
-def run_experiment(
-    exp_id: str,
-    *,
-    scale: Scale = "normal",
-    seed: int = 0,
-    config: Optional["SolverConfig"] = None,
-) -> Table:
-    """Run one experiment, optionally under an engine configuration.
+def _check_claim(exp_id: str, table: Table) -> None:
+    """Apply the experiment's registered check to ``table``.
 
-    ``config`` is the harness's driver selection: when given, the run
-    executes inside an activated :class:`repro.api.Engine`, so the
-    config's kernel backend and MPC substrate drive every solve the
-    experiment performs.  The selection is recorded as a table note so persisted
-    results say which engine produced them.
+    Raises :class:`ClaimFailed` naming the experiment and the failed
+    assertion (its message, or its source line when it has none).
     """
+    try:
+        get_experiment(exp_id).check(table)
+    except AssertionError as exc:
+        detail = str(exc) or traceback.extract_tb(exc.__traceback__)[-1].line
+        raise ClaimFailed(f"{exp_id}: claim failed: {detail}") from exc
+
+
+def _run_unchecked(exp_id, scale, seed, config) -> Table:
     spec = get_experiment(exp_id)
     if config is None:
         table = spec.run(scale=scale, seed=seed)
@@ -141,6 +154,28 @@ def run_experiment(
             )
     table.add_note(f"claim: {spec.claim}")
     table.add_note(f"scale={scale} seed={seed}")
+    return table
+
+
+def run_experiment(
+    exp_id: str,
+    *,
+    scale: Scale = "normal",
+    seed: int = 0,
+    config: Optional["SolverConfig"] = None,
+) -> Table:
+    """Run one experiment and check its claim, optionally under an
+    engine configuration.
+
+    ``config`` is the harness's driver selection: when given, the run
+    executes inside an activated :class:`repro.api.Engine`, so the
+    config's kernel backend and MPC substrate drive every solve the
+    experiment performs.  The selection is recorded as a table note so persisted
+    results say which engine produced them.  Raises
+    :class:`ClaimFailed` when the table contradicts the claim.
+    """
+    table = _run_unchecked(exp_id, scale, seed, config)
+    _check_claim(exp_id, table)
     return table
 
 
@@ -168,8 +203,9 @@ def run_and_save(
     echo: bool = True,
     config: Optional["SolverConfig"] = None,
 ) -> Table:
-    """Run one experiment and persist its table (markdown + JSON)."""
-    table = run_experiment(exp_id, scale=scale, seed=seed, config=config)
+    """Run one experiment, persist its table (markdown + JSON), then
+    check its claim (:class:`ClaimFailed` after the files are written)."""
+    table = _run_unchecked(exp_id, scale, seed, config)
     out_dir = results_dir or default_results_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{exp_id}.md").write_text(table.to_markdown() + "\n")
@@ -177,4 +213,5 @@ def run_and_save(
     if echo:
         print()
         print(table.to_ascii())
+    _check_claim(exp_id, table)
     return table

@@ -498,6 +498,7 @@ def test_faithful_driver_substrate_parity():
     res_o = solve_allocation_mpc(inst, 0.2, substrate="object", **kwargs)
     res_c = solve_allocation_mpc(inst, 0.2, substrate="columnar", **kwargs)
     assert res_o.ledger.by_category == res_c.ledger.by_category
+    assert res_o.ledger.violations == res_c.ledger.violations == []
     assert res_o.mpc_rounds == res_c.mpc_rounds
     assert res_o.ledger.phases == res_c.ledger.phases
     assert res_o.ledger.peak_machine_words == res_c.ledger.peak_machine_words

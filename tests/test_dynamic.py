@@ -400,6 +400,7 @@ def test_replay_stream_deterministic():
         return replay_stream(dyn, deltas, seed=1)
 
     a, b = run(), run()
+    assert len(a) == len(deltas)
     assert [s.as_row() for s in a] == [s.as_row() for s in b]
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.result.edge_mask, sb.result.edge_mask)

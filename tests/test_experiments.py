@@ -1,16 +1,19 @@
 """Smoke tests of the experiment suite.
 
-Every experiment must stay permanently runnable at smoke scale and
-carry its claim's expected shape; the heavy versions live under
-``benchmarks/``.
+Every experiment must stay permanently runnable at smoke scale, and
+every run applies the experiment's registered claim check — so
+``test_experiment_smoke`` holds all thirteen claims at smoke scale.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import dataclasses
+
 from repro.experiments.harness import (
     REGISTRY,
+    ClaimFailed,
     get_experiment,
     run_and_save,
     run_experiment,
@@ -24,6 +27,7 @@ def test_registry_complete():
     assert sorted(REGISTRY) == sorted(ALL_IDS)
     for spec in REGISTRY.values():
         assert spec.title and spec.claim
+        assert callable(spec.check)
 
 
 def test_unknown_experiment():
@@ -72,6 +76,25 @@ def test_cli_list_and_run(capsys, tmp_path, monkeypatch):
     assert main(["nope"]) == 2
     assert main([]) == 2
     assert main(["e9", "--exp", "e1"]) == 2
+
+
+def test_failed_claim_exits_1_and_names_the_id(capsys, tmp_path, monkeypatch):
+    import repro.experiments.harness as harness
+    from repro.experiments.__main__ import main
+
+    def check(table):
+        assert table.rows[-1]["split_lambda"] < 0
+
+    spec = get_experiment("e9")
+    monkeypatch.setitem(REGISTRY, "e9", dataclasses.replace(spec, check=check))
+    monkeypatch.setattr(harness, "default_results_dir", lambda: tmp_path)
+    assert main(["e9", "--scale", "smoke"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("e9: claim failed: ")
+    # The table is written before the claim is checked.
+    assert (tmp_path / "e9.json").exists()
+    with pytest.raises(ClaimFailed, match="e9: claim failed"):
+        run_experiment("e9", scale="smoke")
 
 
 def test_cli_unknown_exp_names_valid_ids(capsys):

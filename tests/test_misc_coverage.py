@@ -124,4 +124,19 @@ def test_duplicate_experiment_registration_rejected():
 
     get_experiment("e1")  # ensure modules loaded
     with pytest.raises(ValueError, match="duplicate"):
-        register("e1", "again", "claim")(lambda **kw: None)
+        register("e1", "again", "claim", check=lambda table: None)(lambda **kw: None)
+
+
+def test_setup_version_matches_package():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "setup.py", "--name", "--version"],
+        cwd=root, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out[-2:] == ["repro", repro.__version__]

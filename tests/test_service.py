@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -272,14 +273,30 @@ def test_concurrent_identical_requests_coalesce(tmp_path, instance):
 
     async def scenario(service):
         loop = asyncio.get_running_loop()
+        # Hold the first solve in flight until the other three have
+        # coalesced onto it, so the test does not race the solver.
+        release = threading.Event()
+        solve_on = service._solve_on
+
+        def held_solve(resident, request):
+            assert release.wait(timeout=30), "identical requests never coalesced"
+            return solve_on(resident, request)
+
+        service._solve_on = held_solve
+
+        async def release_once_coalesced():
+            while service.counters.coalesced < 3:
+                await asyncio.sleep(0.005)
+            release.set()
 
         def one():
             with ServiceClient(service.socket_path) as c:
                 c.open(instance)
                 return c.solve(h)  # seedless and identical → coalescable
 
-        responses = await asyncio.gather(
-            *(loop.run_in_executor(None, one) for _ in range(4))
+        *responses, _ = await asyncio.gather(
+            *(loop.run_in_executor(None, one) for _ in range(4)),
+            asyncio.wait_for(release_once_coalesced(), timeout=30),
         )
         return responses, service.counters
 
