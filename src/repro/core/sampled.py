@@ -25,13 +25,17 @@ Implementation notes
   what lets the faithful MPC mode re-draw identical samples inside a
   collected ball; ``FastSampler`` uses one stream and a rank trick, for
   large simulate-mode sweeps.  Identical distributions.
-* With the *theoretical* sample budget ``t`` exceeding every group
-  size, sampling takes whole groups, estimates are exact, and the
-  trajectory coincides with Algorithm 1 — an integration test pins
-  this.
-* True x/alloc are recomputed each round alongside the estimates
-  (instrumentation for Lemma 12/13 checks and the final output, which
-  lines 5–6 of Algorithm 1 define in terms of true allocs).
+* The exact regime (DESIGN.md §2.3): a budget of at least the graph's
+  max degree samples every group whole, so the estimates would only
+  re-add the exact sums.  Such a phase builds no groups and draws no
+  samples; its line-7 decisions use the exact ``alloc`` of the round
+  kernel, and the trajectory is Algorithm 1's bit for bit.  The
+  *theoretical* budget ``t`` is in this regime on every laptop-scale
+  instance.
+* True x/alloc are computed each round by the round kernel (the
+  decisions of the exact regime, the Lemma 12/13 checks and the final
+  output, which lines 5–6 of Algorithm 1 define in terms of true
+  allocs).
 """
 
 from __future__ import annotations
@@ -251,8 +255,9 @@ class SampledRun:
     Mirrors :class:`ProportionalRun`'s surface (β exponents, level
     masks, match weight, scaled output) but drives decisions from the
     sampled estimates.  ``sample_budget=None`` uses the theoretical
-    ``t`` from the paper's parameter line (which in practice covers
-    whole groups — the exact regime).
+    ``t`` from the paper's parameter line.  A phase whose budget is at
+    least ``max_degree`` is in the exact regime: it skips the sampler
+    and decides from the exact aggregates (see :meth:`run_phase`).
     """
 
     def __init__(
@@ -279,6 +284,9 @@ class SampledRun:
         if sample_budget is None:
             sample_budget = params.sample_size(self.block, self.epsilon, max(2, n))
         self.sample_budget = check_positive_int(sample_budget, "sample_budget")
+        # No level group outgrows its neighbourhood, so a budget of at
+        # least this many slots samples every group whole.
+        self.max_degree = graph.max_degree
         if estimator not in ("stratified", "pooled"):
             raise ValueError(f"unknown estimator {estimator!r}")
         self.estimator = estimator
@@ -387,50 +395,74 @@ class SampledRun:
             row_sums = np.where(counts > 0, degrees / np.where(counts > 0, counts, 1.0) * sums, 0.0)
         return row_sums
 
+    def _sampled_estimates(
+        self,
+        left_groups: SideGroups,
+        right_groups: SideGroups,
+        beta_vals: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Lines 5–6 of Algorithm 2: ``(β̂_u, alloĉ_v)`` from fresh
+        per-group samples of this round."""
+        g = self.graph
+        # Line 5: estimate β_u from fresh per-group samples of N_u.
+        pos_l = self.sampler.sample_positions(
+            left_groups, LEFT_SIDE, self.rounds_completed, self.sample_budget
+        )
+        beta_hat = self._estimate_row_sums(left_groups, pos_l, beta_vals[g.left_adj])
+        # Line 6: estimate alloc_v = β_v · Σ 1/β_u over fresh samples.
+        pos_r = self.sampler.sample_positions(
+            right_groups, RIGHT_SIDE, self.rounds_completed, self.sample_budget
+        )
+        with np.errstate(divide="ignore"):
+            inv_beta_hat = np.where(beta_hat > 0, 1.0 / np.where(beta_hat > 0, beta_hat, 1.0), 0.0)
+        inv_sum_hat = self._estimate_row_sums(
+            right_groups, pos_r, inv_beta_hat[g.right_adj]
+        )
+        return beta_hat, beta_vals * inv_sum_hat
+
     def run_phase(self, rounds: Optional[int] = None) -> PhaseReport:
-        """Execute one phase of ``rounds`` (default B) simulated rounds."""
+        """Execute one phase of ``rounds`` (default B) simulated rounds.
+
+        When ``sample_budget >= max_degree`` every level group is
+        sampled whole, so lines 5–6 would only re-add the exact sums the
+        round kernel already computes: the phase then skips grouping and
+        sampling and takes the line-7 decisions from the exact ``alloc``
+        (the budget is tested per phase because the adaptive faithful
+        controller rewrites it between phases).
+        """
         rounds = self.block if rounds is None else check_positive_int(rounds, "rounds")
         g = self.graph
-        left_groups, right_groups = self.build_phase_groups()
+        exact = self.sample_budget >= self.max_degree
+        if not exact:
+            left_groups, right_groups = self.build_phase_groups()
         report = PhaseReport(phase_index=self.phases_completed)
 
         for _ in range(rounds):
+            # The round kernel's exact x/alloc: the exact regime's
+            # decisions, the Lemma 12/13 checks and the final output.
+            x_true, alloc_true = compute_x_alloc(
+                g, self.beta_exp, self.log1p_eps, workspace=self.workspace
+            )
             beta_vals, _ = self._beta_values_shifted()
-            # Line 5: estimate β_u from fresh per-group samples of N_u.
-            pos_l = self.sampler.sample_positions(
-                left_groups, LEFT_SIDE, self.rounds_completed, self.sample_budget
-            )
-            beta_hat = self._estimate_row_sums(
-                left_groups, pos_l, beta_vals[g.left_adj]
-            )
-            # Line 6: estimate alloc_v = β_v · Σ 1/β_u over fresh samples.
-            pos_r = self.sampler.sample_positions(
-                right_groups, RIGHT_SIDE, self.rounds_completed, self.sample_budget
-            )
-            with np.errstate(divide="ignore"):
-                inv_beta_hat = np.where(beta_hat > 0, 1.0 / np.where(beta_hat > 0, beta_hat, 1.0), 0.0)
-            inv_sum_hat = self._estimate_row_sums(
-                right_groups, pos_r, inv_beta_hat[g.right_adj]
-            )
-            alloc_hat = beta_vals * inv_sum_hat
+            if exact:
+                beta_hat, alloc_hat = None, alloc_true
+            else:
+                beta_hat, alloc_hat = self._sampled_estimates(
+                    left_groups, right_groups, beta_vals
+                )
 
-            # Line 7: the plain (1+ε) thresholds on the *estimates*.
+            # Line 7: the plain (1+ε) thresholds on the estimates.
             caps = self.capacities
             increase = alloc_hat <= caps / (1.0 + self.epsilon)
             decrease = alloc_hat >= caps * (1.0 + self.epsilon)
             decisions = increase.astype(np.int64) - decrease.astype(np.int64)
 
-            # Instrumentation: exact aggregates for Lemma 12/13 checks
-            # and for the final lines-5/6 output of Algorithm 1.
-            x_true, alloc_true = compute_x_alloc(
-                g, self.beta_exp, self.log1p_eps, workspace=self.workspace
-            )
             if self.record_estimates:
                 beta_true = self._exact_beta_u(beta_vals)
                 report.rounds.append(
                     RoundEstimates(
                         round_index=self.rounds_completed,
-                        beta_hat=beta_hat,
+                        beta_hat=beta_true if beta_hat is None else beta_hat,
                         beta_true=beta_true,
                         alloc_hat=alloc_hat,
                         alloc_true=alloc_true,

@@ -8,13 +8,22 @@ with the printed values — but treat any unexpected diff as a bug.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.api import Engine, SolverConfig
 from repro.core.proportional import ProportionalRun
 from repro.core.sampled import SampledRun
 from repro.core.termination import evaluate_certificate
-from repro.graphs.generators import slow_spread_instance, union_of_forests
+from repro.dynamic.scenarios import adversarial_churn
+from repro.graphs.generators import (
+    heavy_tailed_instance,
+    slow_spread_instance,
+    union_of_forests,
+)
+from repro.serve.session import SolveRequest
 from repro.rounding.sampling import round_once
 from repro.core.local_driver import solve_fractional_fixed_tau
 
@@ -142,3 +151,51 @@ def test_golden_service_transcript():
     seeds = [row[2] for row in first]
     assert len({seeds[0], seeds[1], seeds[3]}) == 3   # distinct cursor draws
     assert all(row[3] > 0 for row in first)
+
+
+# -- Bit-parity digests of the production solve paths -----------------
+# Each digest pins the integral edge mask (SHA-1 of its bytes) and the
+# MPC round count of one solve, so any change to the sampled dynamics,
+# rounding, repair or boosting that moves a single edge fails here.
+
+
+def _mask_digest(edge_mask: np.ndarray) -> str:
+    return hashlib.sha1(np.ascontiguousarray(edge_mask, dtype=np.uint8).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "family, expected",
+    [
+        ("slow_spread", ("370c92e31487435926e0417feeee4b0f66a477c1", 119)),
+        ("heavy_tailed", ("bb534affa9514c3153f27f176cce2c4d856e72f0", 7)),
+    ],
+)
+def test_golden_cold_engine_solve_digest(family, expected):
+    if family == "slow_spread":
+        inst = slow_spread_instance(8, width=4)
+    else:
+        inst = heavy_tailed_instance(400, seed=0)
+    report = Engine(SolverConfig(epsilon=0.1)).solve(inst, seed=11)
+    assert (_mask_digest(report.edge_mask), report.mpc_rounds) == expected
+
+
+def test_golden_warm_session_solve_digest():
+    inst = slow_spread_instance(8, width=4)
+    session = Engine(SolverConfig(epsilon=0.1, boost=False)).open_session(inst)
+    session.solve(seed=3)
+    result = session.solve(SolveRequest(capacity_updates={0: 3, 5: 2}, seed=4))
+    assert result.mpc.meta["warm_start"]
+    assert (_mask_digest(result.edge_mask), result.mpc.mpc_rounds) == (
+        "d5801cdc363cdd906d8eaf9ac7e07e8c14f1a0d2", 7
+    )
+
+
+def test_golden_dynamic_step_digest():
+    inst = slow_spread_instance(8, width=4)
+    dynamic = Engine(SolverConfig(epsilon=0.1)).open_dynamic(inst)
+    dynamic.resolve(seed=5)
+    (delta,) = adversarial_churn(inst, 1, seed=6)
+    _, result = dynamic.step(delta, seed=7)
+    assert (_mask_digest(result.edge_mask), result.mpc.mpc_rounds) == (
+        "8b2e780ad0d6dce15662e904b98d8f7c9b1dc782", 21
+    )

@@ -88,6 +88,21 @@ def test_faithful_mode_matches_simulate_bitwise():
     assert simulate.ledger.peak_routed_records == 0
 
 
+def test_faithful_matches_simulate_at_default_budget():
+    """At the theoretical budget every group is sampled whole, so both
+    modes decide from the exact aggregates and agree whichever sampler
+    each one holds."""
+    inst = union_of_forests(14, 12, 2, capacity=2, seed=5)
+    faithful = solve_allocation_mpc(
+        inst, EPS, lam=2, mode="faithful", seed=123, space_slack=512.0,
+    )
+    simulate = solve_allocation_mpc(inst, EPS, lam=2, mode="simulate", seed=123)
+    assert simulate.meta["sample_budget"] >= inst.graph.max_degree
+    assert np.array_equal(faithful.allocation.x, simulate.allocation.x)
+    assert faithful.match_weight == simulate.match_weight
+    assert faithful.local_rounds == simulate.local_rounds
+
+
 def test_faithful_mode_enforces_space():
     inst = union_of_forests(14, 12, 2, capacity=2, seed=5)
     res = solve_allocation_mpc(

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import params
+from repro.core import sampled as sampled_module
 from repro.core.adaptive import (
     K_MAX,
     K_MIN,
     RandomizedThresholds,
     reconstruct_round_thresholds,
 )
-from repro.core.proportional import ProportionalRun, ReplayThresholds
+from repro.core.proportional import ProportionalRun, ReplayThresholds, compute_x_alloc
 from repro.core.sampled import (
     FastSampler,
     KeyedSampler,
@@ -22,6 +23,7 @@ from repro.core.sampled import (
 )
 from repro.graphs.generators import (
     planted_dense_core_instance,
+    slow_spread_instance,
     star_instance,
     union_of_forests,
 )
@@ -120,8 +122,90 @@ def test_full_budget_matches_algorithm1(sampler):
         sample_budget=10**6, sampler=sampler, seed=0,
     ).run_rounds(tau)
     assert np.array_equal(exact.beta_exp, sampled.beta_exp)
-    assert np.allclose(exact.alloc, sampled.alloc, atol=1e-9)
-    assert sampled.match_weight() == pytest.approx(exact.match_weight())
+    assert np.array_equal(exact.alloc, sampled.alloc)
+    assert sampled.match_weight() == exact.match_weight()
+
+
+# ----------------------------------------------------------------------
+# Exact regime: a budget covering every neighbourhood skips the sampler
+# ----------------------------------------------------------------------
+
+def _forbid_sampling(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("the exact regime must not group or sample")
+
+    monkeypatch.setattr(sampled_module, "build_side_groups", boom)
+    monkeypatch.setattr(KeyedSampler, "sample_positions", boom)
+    monkeypatch.setattr(FastSampler, "sample_positions", boom)
+
+
+@pytest.mark.parametrize("sampler", ["keyed", "fast"])
+@pytest.mark.parametrize("budget", ["max_degree", "theoretical"])
+def test_exact_regime_skips_sampler_and_matches_algorithm1(monkeypatch, sampler, budget):
+    inst = slow_spread_instance(8, width=4)
+    eps = 0.1
+    tau = params.tau_two_approx(9, eps)   # λ ≤ core_right + 1
+    _forbid_sampling(monkeypatch)
+    run = SampledRun(
+        inst.graph, inst.capacities, eps, block=4,
+        sample_budget=inst.graph.max_degree if budget == "max_degree" else None,
+        sampler=sampler, seed=3,
+    ).run_rounds(tau)
+    assert run.sample_budget >= inst.graph.max_degree
+    exact = ProportionalRun(inst.graph, inst.capacities, eps).run(tau)
+    assert np.array_equal(run.beta_exp, exact.beta_exp)
+    assert np.array_equal(run.x_slots, exact.x_slots)
+    assert np.array_equal(run.alloc, exact.alloc)
+
+
+@pytest.mark.parametrize("sampler_cls", [KeyedSampler, FastSampler])
+def test_budget_below_max_degree_still_samples(monkeypatch, sampler_cls):
+    inst = slow_spread_instance(8, width=4)
+    calls = []
+    original = sampler_cls.sample_positions
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[1])
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(sampler_cls, "sample_positions", counted)
+    run = SampledRun(
+        inst.graph, inst.capacities, 0.1, block=2,
+        sample_budget=inst.graph.max_degree - 1,
+        sampler="keyed" if sampler_cls is KeyedSampler else "fast", seed=0,
+    )
+    run.run_phase()
+    assert calls == [0, 1, 0, 1]   # both sides, both rounds
+
+
+def test_exact_regime_recorded_estimates_have_zero_error(monkeypatch):
+    inst = slow_spread_instance(8, width=4)
+    _forbid_sampling(monkeypatch)
+    run = SampledRun(
+        inst.graph, inst.capacities, 0.1, block=3, seed=0, record_estimates=True
+    ).run_rounds(7)
+    rounds = [r for report in run.phase_reports for r in report.rounds]
+    assert len(rounds) == 7
+    for r in rounds:
+        assert np.all(r.beta_relative_errors() == 0.0)
+        assert np.all(r.alloc_relative_errors() == 0.0)
+
+
+@pytest.mark.parametrize("estimator", ["stratified", "pooled"])
+def test_whole_group_estimates_equal_exact_aggregates(estimator):
+    """Why the shortcut is sound: handed whole groups, lines 5–6 only
+    re-add the exact sums (up to summation order)."""
+    inst = union_of_forests(30, 24, 3, capacity=2, seed=7)
+    run = SampledRun(
+        inst.graph, inst.capacities, 0.25, block=2, estimator=estimator, seed=0
+    )
+    run.beta_exp[:] = np.arange(inst.n_right) % 5 - 2
+    left_groups, right_groups = run.build_phase_groups()
+    beta_vals, _ = run._beta_values_shifted()
+    beta_hat, alloc_hat = run._sampled_estimates(left_groups, right_groups, beta_vals)
+    _, alloc_true = compute_x_alloc(inst.graph, run.beta_exp, run.log1p_eps)
+    np.testing.assert_allclose(beta_hat, run._exact_beta_u(beta_vals), rtol=1e-12)
+    np.testing.assert_allclose(alloc_hat, alloc_true, rtol=1e-12)
 
 
 def test_theoretical_budget_is_exact_at_small_scale():
