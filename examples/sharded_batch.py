@@ -48,7 +48,7 @@ def main() -> None:
         print(f"engine batch  : {len(sharded)} requests over 2 workers, "
               f"bit-identical to the thread path")
 
-        # The fleet stays warm between batches on an activated engine,
+        # The fleet stays warm between batches inside ``with Engine``,
         # and a sequence of instances fans out multi-tenant (the
         # thread executor takes one session; tenant fan-out is what
         # the process tier is for).

@@ -55,12 +55,13 @@ class SolverConfig:
         The pipeline approximation parameter (ε ≤ 1/4, Theorem 17).
     backend:
         Kernel backend name (one of
-        :func:`repro.kernels.available_backends`); ``None`` leaves the
-        process-active backend untouched.
+        :func:`repro.kernels.available_backends`), passed down to every
+        round of every solve this config drives; ``None`` uses the
+        scoped default (:func:`repro.kernels.use_backend`).
     substrate:
         Faithful-mode MPC substrate name (one of
-        :func:`repro.mpc.available_substrates`); ``None`` leaves the
-        active substrate untouched.
+        :func:`repro.mpc.available_substrates`), passed down the same
+        way; ``None`` uses the scoped default.
     mode:
         Fractional-solve validation mode: ``"simulate"`` (the scale
         path) or ``"faithful"`` (every communication step executed on
@@ -220,13 +221,15 @@ class SolverConfig:
     def mpc_options(self) -> dict[str, Any]:
         """Extra keywords for :func:`~repro.core.mpc_driver.solve_allocation_mpc`
         inside a pipeline's fractional stage — empty for the historical
-        defaults, so the default cold path stays the plain
-        :func:`~repro.core.pipeline.solve_allocation` call."""
+        defaults.  This is how the backend and substrate reach the
+        rounds of cold solves, sessions, tenants and shard workers."""
         options: dict[str, Any] = {}
         if self.mode != "simulate":
             options["mode"] = self.mode
         if self.substrate is not None:
             options["substrate"] = self.substrate
+        if self.backend is not None:
+            options["backend"] = self.backend
         if self.mpc_budget_policy != "fixed":
             options["budget_policy"] = self.mpc_budget_policy
             options["safety_fraction"] = self.mpc_safety_fraction

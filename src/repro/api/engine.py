@@ -6,7 +6,7 @@ the repository's five serving shapes behind one surface (DESIGN.md
 
 ========================  ============================================
 ``solve(instance)``        cold pipeline solve
-                           (:func:`repro.core.pipeline.solve_allocation`)
+                           (:func:`repro.core.pipeline.run_pipeline`)
 ``solve_mpc(instance)``    fractional-only Theorem-3 solve
                            (:func:`~repro.core.mpc_driver.solve_allocation_mpc`)
 ``open_session(inst)``     resident warm-start session
@@ -20,12 +20,12 @@ the repository's five serving shapes behind one surface (DESIGN.md
                            (:func:`repro.serve.replay_stream`)
 ========================  ============================================
 
-Lifecycle: the engine applies its config's kernel backend and MPC
-substrate *scoped*.  ``with Engine(config) as engine: ...`` installs
-them on entry and restores the previous selection on exit; outside a
-``with`` block each call applies and restores them around itself.
-:meth:`activate` installs them process-wide without a paired restore —
-the CLI's historical semantics.
+The config's kernel backend and MPC substrate travel with it, down
+to every round of every path (:meth:`SolverConfig.mpc_options
+<repro.api.SolverConfig.mpc_options>`); the engine installs nothing
+process-wide.  ``with Engine(config) as engine: ...`` scopes only the
+shard fleet: it stays resident until the block exits, while outside a
+``with`` block it is torn down after each call.
 
 Parity contract (asserted in ``tests/test_api.py`` and CI): on the
 same :class:`SolverConfig`, ``Engine.solve`` is bit-identical to
@@ -36,7 +36,6 @@ changes how solves are *addressed*, never what they compute.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
@@ -104,73 +103,29 @@ class Engine:
         elif overrides:
             config = config.replace(**overrides)
         self.config = config
-        self._restore: Optional[tuple] = None
+        self._entered = False  # inside ``with``: the fleet stays resident
         self._fleet = None  # resident ShardedExecutor (process batches)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "active" if self._restore is not None else "inactive"
-        return f"<Engine {state} config={self.config!r}>"
+        return f"<Engine config={self.config!r}>"
 
     # -- lifecycle -------------------------------------------------------
-    def activate(self) -> "Engine":
-        """Install the config's backend/substrate process-globally.
-
-        Idempotent.  Pair with :meth:`close` (or use the engine as a
-        context manager) to restore the previous selection; leave
-        unpaired for the install-and-forget CLI shape.
-        """
-        if self._restore is None:
-            prev_backend = prev_substrate = None
-            if self.config.backend is not None:
-                from repro.kernels.backends import _set_backend
-
-                prev_backend = _set_backend(self.config.backend)
-            if self.config.substrate is not None:
-                from repro.mpc.substrate import _set_substrate
-
-                prev_substrate = _set_substrate(self.config.substrate)
-            self._restore = (prev_backend, prev_substrate)
-        return self
-
     def close(self) -> None:
-        """Restore the backend/substrate active before :meth:`activate`,
-        and shut down the resident shard fleet — terminating its worker
+        """Shut down the resident shard fleet — terminating its worker
         processes and unlinking every shared-memory segment it
-        published (worker crashes included)."""
+        published (worker crashes included).  Idempotent."""
         if self._fleet is not None:
             fleet, self._fleet = self._fleet, None
             fleet.close()
-        if self._restore is not None:
-            prev_backend, prev_substrate = self._restore
-            self._restore = None
-            if prev_backend is not None:
-                from repro.kernels.backends import _set_backend
-
-                _set_backend(prev_backend)
-            if prev_substrate is not None:
-                from repro.mpc.substrate import _set_substrate
-
-                _set_substrate(prev_substrate)
 
     def __enter__(self) -> "Engine":
-        return self.activate()
+        self._entered = True
+        return self
 
     def __exit__(self, *exc_info: Any) -> bool:
+        self._entered = False
         self.close()
         return False
-
-    @contextmanager
-    def _scoped(self):
-        """Backend/substrate applied for one call (no-op when the
-        engine is already activated)."""
-        if self._restore is not None:
-            yield
-            return
-        self.activate()
-        try:
-            yield
-        finally:
-            self.close()
 
     # -- instance plumbing ----------------------------------------------
     @staticmethod
@@ -216,52 +171,31 @@ class Engine:
         config = self.config.replace(**overrides) if overrides else self.config
         if seed is None:
             seed = config.seed
-        with self._scoped():
-            if (
-                config.stages is None
-                and config.rounding_copies is None
-                and not config.mpc_options()
-            ):
-                from repro.core.pipeline import solve_allocation
+        # Imported at call time so a wrapper installed on the module
+        # attribute (a tracer, a test spy) sees every call.
+        from repro.core.pipeline import run_pipeline
 
-                result = solve_allocation(
-                    instance,
-                    config.epsilon,
-                    boost_epsilon=config.boost_epsilon,
-                    lam=config.lam,
-                    alpha=config.alpha,
-                    repair=config.repair,
-                    boost=config.boost,
-                    boost_mode=config.boost_mode,  # type: ignore[arg-type]
-                    seed=seed,
-                    initial_exponents=initial_exponents,
-                )
-            else:
-                from repro.core.pipeline import run_pipeline
-
-                # Mirror solve_allocation's meta exactly (boost_epsilon
-                # resolved the same way), so the schema does not leak
-                # which internal branch ran; the extra knob appears
-                # only when set.
-                meta = {
-                    "epsilon": config.epsilon,
-                    "boost_epsilon": config.boost_epsilon
-                    if config.boost_epsilon is not None
-                    else max(config.epsilon, 0.25),
-                    "repair": config.repair,
-                    "boost": config.boost,
-                    "warm_start": initial_exponents is not None,
-                }
-                if config.rounding_copies is not None:
-                    meta["rounding_copies"] = config.rounding_copies
-                result = run_pipeline(
-                    instance,
-                    config.build_stages(),
-                    config.epsilon,
-                    seed=seed,
-                    initial_exponents=initial_exponents,
-                    meta=meta,
-                )
+        # solve_allocation's meta keys and order; the extra knob
+        # appears only when set.
+        meta = {
+            "epsilon": config.epsilon,
+            "boost_epsilon": config.boost_epsilon
+            if config.boost_epsilon is not None
+            else max(config.epsilon, 0.25),
+            "repair": config.repair,
+            "boost": config.boost,
+            "warm_start": initial_exponents is not None,
+        }
+        if config.rounding_copies is not None:
+            meta["rounding_copies"] = config.rounding_copies
+        result = run_pipeline(
+            instance,
+            config.build_stages(),
+            config.epsilon,
+            seed=seed,
+            initial_exponents=initial_exponents,
+            meta=meta,
+        )
         return AllocationReport.from_pipeline(result)
 
     def solve_mpc(
@@ -277,7 +211,7 @@ class Engine:
         cluster representation).  Extra keywords forward to
         :func:`~repro.core.mpc_driver.solve_allocation_mpc`, winning
         over the config's value for config-backed parameters
-        (``mode``, ``substrate``, ``alpha``, ``lam``,
+        (``mode``, ``substrate``, ``backend``, ``alpha``, ``lam``,
         ``budget_policy``, ``safety_fraction``).
         Bit-identical to the direct call on the same config."""
         if seed is None:
@@ -287,24 +221,23 @@ class Engine:
             "lam": self.config.lam,
             "mode": self.config.mode,
             "substrate": self.config.substrate,
+            "backend": self.config.backend,
             "budget_policy": self.config.mpc_budget_policy,
             "safety_fraction": self.config.mpc_safety_fraction,
             "initial_exponents": initial_exponents,
         }
         call_kwargs.update(mpc_kwargs)
-        with self._scoped():
-            from repro.core.mpc_driver import solve_allocation_mpc
+        from repro.core.mpc_driver import solve_allocation_mpc
 
-            result = solve_allocation_mpc(
-                instance, self.config.epsilon, seed=seed, **call_kwargs
-            )
+        result = solve_allocation_mpc(
+            instance, self.config.epsilon, seed=seed, **call_kwargs
+        )
         return AllocationReport.from_mpc(result)
 
     # -- resident sessions -----------------------------------------------
     def open_session(self, instance: AllocationInstance) -> AllocationSession:
         """A resident warm-start session carrying this config's
-        defaults (DESIGN.md §8).  Run it inside the engine's ``with``
-        block when the config selects a non-default backend."""
+        defaults, backend and substrate included (DESIGN.md §8)."""
         return AllocationSession(instance, **self.config.session_kwargs())
 
     def open_dynamic(self, instance: AllocationInstance) -> DynamicSession:
@@ -371,11 +304,10 @@ class Engine:
         contract and return bit-identical reports for the same
         ``(target, requests, seed)``.
 
-        The shard fleet stays resident between calls on an activated
-        engine (``with Engine(...) as e:`` / ``e.activate()``) and is
-        shut down by :meth:`close`; on a non-activated engine the
-        per-call scope tears it down again after each batch — activate
-        the engine when you want warm shards across batches.
+        The shard fleet stays resident between calls inside ``with
+        Engine(...) as e:`` and is shut down on exit; outside a ``with``
+        block it is torn down again after each batch — enter the engine
+        when you want warm shards across batches.
         """
         if executor is None:
             executor = self.config.executor
@@ -400,9 +332,8 @@ class Engine:
         reqs = [_as_request(r) for r in requests]
         if seed is None:
             seed = self.config.seed
-        with self._scoped():
-            run = solve_stream if prime else solve_batch
-            results = run(session, reqs, seed=seed)
+        run = solve_stream if prime else solve_batch
+        results = run(session, reqs, seed=seed)
         return [AllocationReport.from_pipeline(r) for r in results]
 
     def shard_executor(self, workers: Optional[int] = None):
@@ -438,10 +369,13 @@ class Engine:
         reqs = [_as_request(r) for r in requests]
         if seed is None:
             seed = self.config.seed
-        with self._scoped():
+        try:
             return self.shard_executor(workers).run_batch(
                 target, reqs, seed=seed, prime=prime
             )
+        finally:
+            if not self._entered:
+                self.close()
 
     def stream(
         self,
@@ -469,13 +403,10 @@ class Engine:
         delta_list = [_as_delta(d) for d in deltas]
         if seed is None:
             seed = self.config.seed
-        with self._scoped():
-            prime_report = None
-            if prime:
-                prime_report = AllocationReport.from_pipeline(
-                    dynamic.resolve(seed=seed)
-                )
-            from repro.serve.replay import replay_stream
+        prime_report = None
+        if prime:
+            prime_report = AllocationReport.from_pipeline(dynamic.resolve(seed=seed))
+        from repro.serve.replay import replay_stream
 
-            steps = replay_stream(dynamic, delta_list, seed=seed, requests=requests)
+        steps = replay_stream(dynamic, delta_list, seed=seed, requests=requests)
         return StreamResult(session=dynamic, prime=prime_report, steps=tuple(steps))

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.bmatching.problem import BMatchingInstance
 from repro.core.proportional import match_weight_from_alloc
-from repro.kernels import proportional_round, scatter_add, workspace_for
+from repro.kernels import proportional_round, workspace_for
 from repro.utils.validation import check_fraction, check_positive_int
 
 __all__ = ["BMatchingFractional", "proportional_bmatching"]
@@ -46,8 +46,8 @@ class BMatchingFractional:
         g = instance.graph
         if np.any(self.x < -tol) or np.any(self.x > 1 + tol):
             return False
-        left = scatter_add(g.edge_u, weights=self.x, minlength=g.n_left)
-        right = scatter_add(g.edge_v, weights=self.x, minlength=g.n_right)
+        left = np.bincount(g.edge_u, weights=self.x, minlength=g.n_left)
+        right = np.bincount(g.edge_v, weights=self.x, minlength=g.n_right)
         return bool(
             np.all(left <= instance.b_left + tol)
             and np.all(right <= instance.b_right + tol)
@@ -86,7 +86,7 @@ def proportional_bmatching(
 
     # Feasibility scaling: clip edges at 1, then rescale right loads.
     x = np.minimum(x, 1.0)
-    right = scatter_add(g.edge_v, weights=x, minlength=g.n_right)
+    right = np.bincount(g.edge_v, weights=x, minlength=g.n_right)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(right > b_right, b_right / np.where(right > 0, right, 1.0), 1.0)
     x = x * scale[g.edge_v]

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.capacities import validate_capacities
-from repro.kernels import scatter_add
 
 __all__ = [
     "AugmentingPath",
@@ -68,7 +67,7 @@ def matched_partner_structure(
     left_match = np.full(graph.n_left, -1, dtype=np.int64)
     ids = np.nonzero(edge_mask)[0]
     left_match[graph.edge_u[ids]] = ids
-    right_load = scatter_add(graph.edge_v[ids], minlength=graph.n_right)
+    right_load = np.bincount(graph.edge_v[ids], minlength=graph.n_right)
     return left_match, right_load
 
 

@@ -28,8 +28,7 @@ the flags of ``solve``, ``batch`` and ``dynamic`` — ``--epsilon``,
 ``--seed``, ``--no-boost``, ``--backend`` (kernel backend, DESIGN.md
 §6) and ``--substrate`` (faithful-mode MPC substrate, DESIGN.md §7) —
 build one :class:`repro.api.SolverConfig`, and the engine built from
-it owns the run.  ``--backend``/``--substrate`` are installed
-process-wide for the invocation (``Engine.activate``).
+it owns the run; the backend and substrate travel with that config.
 """
 
 from __future__ import annotations
@@ -63,16 +62,14 @@ def _load_instance_checked(path: str):
 
 
 def _engine_from_args(args: argparse.Namespace, *, session_prefix: str = ""):
-    """Build the activated :class:`repro.api.Engine` from a
-    subcommand's flags; ``None`` (after printing to stderr) on invalid
-    input.
+    """Build the :class:`repro.api.Engine` from a subcommand's flags;
+    ``None`` (after printing to stderr) on invalid input.
 
     Validation is reported in two historical voices: bad engine-
     selection names (``--backend``/``--substrate``) print the selection
     error as-is, while a bad session parameter (``--epsilon``) is
     prefixed with ``session_prefix`` so a flag problem is reported as
-    one.  ``activate()`` (no paired restore) preserves the old
-    install-process-wide flag semantics.
+    one.
     """
     from repro.api import Engine, SolverConfig
     from repro.kernels import available_backends
@@ -111,7 +108,7 @@ def _engine_from_args(args: argparse.Namespace, *, session_prefix: str = ""):
         prefix = "" if bad_engine_name else session_prefix
         print(f"{prefix}{exc}", file=sys.stderr)
         return None
-    return Engine(config).activate()
+    return Engine(config)
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
@@ -194,21 +191,23 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             )
             return 2
     try:
-        if args.shard_workers is not None:
-            # Multi-process tier (DESIGN.md §12): instances live in
-            # shared memory, shard workers own the sessions.  Same
-            # determinism contract, same rows, bit-identical reports.
-            reports = engine.batch(
-                instance, requests,
-                executor="process", workers=args.shard_workers,
-            )
-            stats = ("fleet_stats", engine.shard_executor(args.shard_workers).stats())
-        else:
-            session = engine.open_session(instance)
-            # Prime-then-batch (DESIGN.md §8.3): the first request runs
-            # alone so the batched remainder warm-starts.
-            reports = engine.batch(session, requests)
-            stats = ("session_stats", session.stats.as_dict())
+        with engine:
+            if args.shard_workers is not None:
+                # Multi-process tier (DESIGN.md §12): instances live in
+                # shared memory, shard workers own the sessions.  Same
+                # determinism contract, same rows, bit-identical reports.
+                reports = engine.batch(
+                    instance, requests,
+                    executor="process", workers=args.shard_workers,
+                )
+                fleet = engine.shard_executor(args.shard_workers)
+                stats = ("fleet_stats", fleet.stats())
+            else:
+                session = engine.open_session(instance)
+                # Prime-then-batch (DESIGN.md §8.3): the first request
+                # runs alone so the batched remainder warm-starts.
+                reports = engine.batch(session, requests)
+                stats = ("session_stats", session.stats.as_dict())
     except ValueError as exc:
         # e.g. capacity_updates naming a vertex outside the instance
         print(f"invalid request for this instance: {exc}", file=sys.stderr)
@@ -216,8 +215,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     except RuntimeError as exc:
         print(f"sharded batch failed: {exc}", file=sys.stderr)
         return 3
-    finally:
-        engine.close()
     for i, report in enumerate(reports):
         row = {"request": i, **report.summary()}
         row["warm_start"] = bool(report.meta.get("warm_start"))
@@ -294,20 +291,21 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
                 )
                 return 2
     try:
-        if args.shard_workers is not None:
-            # Replay on the instance's shard worker (DESIGN.md §12):
-            # the delta chain runs remotely against a shared-memory
-            # attach of the instance, bit-identical to the in-process
-            # replay below.
-            fleet = engine.shard_executor(args.shard_workers)
-            outcome = fleet.run_replay(instance, deltas, seed=args.seed)
-            rows, dynamic_stats = list(outcome.rows), outcome.stats
-        else:
-            # Prime (the initial cold solve that establishes the warm
-            # state every subsequent incremental re-solve starts from),
-            # then the replay — one engine call.
-            outcome = engine.stream(dynamic, deltas)
-            rows, dynamic_stats = outcome.rows(), dynamic.stats.as_dict()
+        with engine:
+            if args.shard_workers is not None:
+                # Replay on the instance's shard worker (DESIGN.md §12):
+                # the delta chain runs remotely against a shared-memory
+                # attach of the instance, bit-identical to the
+                # in-process replay below.
+                fleet = engine.shard_executor(args.shard_workers)
+                outcome = fleet.run_replay(instance, deltas, seed=args.seed)
+                rows, dynamic_stats = list(outcome.rows), outcome.stats
+            else:
+                # Prime (the initial cold solve that establishes the
+                # warm state every subsequent incremental re-solve
+                # starts from), then the replay — one engine call.
+                outcome = engine.stream(dynamic, deltas)
+                rows, dynamic_stats = outcome.rows(), dynamic.stats.as_dict()
     except ValueError as exc:
         # e.g. a delta naming a vertex outside the instance
         print(f"invalid delta stream for this instance: {exc}", file=sys.stderr)
@@ -315,8 +313,6 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     except RuntimeError as exc:
         print(f"sharded replay failed: {exc}", file=sys.stderr)
         return 3
-    finally:
-        engine.close()
     assert outcome.prime is not None
     print(json.dumps({"step": "prime", "local_rounds": outcome.prime.local_rounds,
                       "final_size": outcome.prime.size}))

@@ -48,7 +48,7 @@ from repro.core.fractional import FractionalAllocation
 from repro.core.sampled import SampledRun
 from repro.core.termination import CertificateStatus, neighbors_of_right_set
 from repro.graphs.instances import AllocationInstance
-from repro.kernels import RoundWorkspace, workspace_for
+from repro.kernels import RoundWorkspace, get_backend, workspace_for
 from repro.mpc.adaptive import AdaptiveBudgetController
 from repro.mpc.cluster import MPCCluster, cluster_for
 from repro.mpc.columnar import ColumnarCluster
@@ -56,17 +56,10 @@ from repro.mpc.columns import ColumnBatch
 from repro.mpc.exponentiation import ball_record_words, collect_balls
 from repro.mpc.machine import SpaceViolation
 from repro.mpc.primitives import route_by_key, tree_reduce, tree_reduce_vector
+from repro.mpc.substrate import get_substrate
 from repro.utils.validation import check_fraction
 
 __all__ = ["MPCRoundLedger", "MPCResult", "solve_allocation_mpc"]
-
-
-def _active_substrate(substrate: Optional[str]) -> str:
-    if substrate is not None:
-        return substrate
-    from repro.mpc.substrate import get_substrate
-
-    return get_substrate()
 
 
 @dataclass
@@ -499,6 +492,7 @@ def solve_allocation_mpc(
     certificate_cadence: Literal["per_phase", "per_guess"] = "per_phase",
     workspace: Optional[RoundWorkspace] = None,
     substrate: Optional[str] = None,
+    backend: Optional[str] = None,
     initial_exponents: Optional[np.ndarray] = None,
 ) -> MPCResult:
     """Theorem 3: (2+O(ε))-approximate fractional allocation in MPC.
@@ -523,10 +517,12 @@ def solve_allocation_mpc(
     overhead the paper's analysis bounds).
 
     ``substrate`` picks the faithful-mode cluster representation
-    (``"object"`` / ``"columnar"``, DESIGN.md §7); ``None`` defers to
-    the active substrate (:func:`repro.mpc.get_substrate`).  Both substrates produce identical round
-    ledgers and bit-identical allocations (the parity suite); columnar
-    is the scale path for faithful runs.
+    (``"object"`` / ``"columnar"``, DESIGN.md §7) and ``backend`` the
+    kernel backend every round runs on (DESIGN.md §6); ``None`` defers
+    to the scoped default (:func:`repro.mpc.get_substrate`,
+    :func:`repro.kernels.get_backend`).  Both substrates produce
+    identical round ledgers and bit-identical allocations (the parity
+    suite); columnar is the scale path for faithful runs.
 
     ``initial_exponents`` warm-starts the dynamics from a retained β
     exponent vector instead of the cold ``b ≡ 0`` (DESIGN.md §8): the
@@ -564,6 +560,9 @@ def solve_allocation_mpc(
     graph = instance.graph
     if workspace is None:
         workspace = workspace_for(graph)
+    kernel = get_backend(backend)
+    if mode == "faithful" and substrate is None:
+        substrate = get_substrate()
     n = max(2, graph.n_vertices)
     ledger = MPCRoundLedger()
 
@@ -590,6 +589,7 @@ def solve_allocation_mpc(
             record_estimates=False,
             workspace=workspace,
             initial_exponents=initial_exponents,
+            backend=kernel,
         )
         cluster: Optional[MPCCluster | ColumnarCluster] = None
         controller: Optional[AdaptiveBudgetController] = None
@@ -772,7 +772,7 @@ def solve_allocation_mpc(
         "lambda_known": lam is not None,
         "sample_budget": run.sample_budget,
         "block": run.block,
-        "substrate": _active_substrate(substrate) if mode == "faithful" else None,
+        "substrate": substrate if mode == "faithful" else None,
         "warm_start": initial_exponents is not None,
         "budget_policy": budget_policy,
     }

@@ -33,7 +33,12 @@ import numpy as np
 from repro.core.fractional import FractionalAllocation
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.capacities import validate_capacities
-from repro.kernels import RoundWorkspace, proportional_round, resolve_workspace
+from repro.kernels import (
+    KernelBackend,
+    RoundWorkspace,
+    proportional_round,
+    resolve_workspace,
+)
 from repro.utils.validation import check_fraction
 
 __all__ = [
@@ -102,6 +107,7 @@ def compute_x_alloc(
     log1p_eps: float,
     *,
     workspace: Optional[RoundWorkspace] = None,
+    backend: Optional[KernelBackend] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One evaluation of lines 2–3 of Algorithm 1.
 
@@ -111,10 +117,11 @@ def compute_x_alloc(
     exponents are shifted by their maximum, so every weight lies in
     ``(0, 1]`` and the denominator in ``[1, deg]`` — no overflow at any
     exponent magnitude (DESIGN.md §5).  The heavy lifting is the shared
-    round kernel in :mod:`repro.kernels` (DESIGN.md §6).
+    round kernel in :mod:`repro.kernels` (DESIGN.md §6) on ``backend``
+    (``None``: the scoped default).
     """
     return proportional_round(
-        resolve_workspace(graph, workspace), beta_exp, log1p_eps
+        resolve_workspace(graph, workspace), beta_exp, log1p_eps, backend=backend
     )
 
 

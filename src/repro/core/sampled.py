@@ -57,7 +57,12 @@ from repro.core.proportional import (
 )
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.capacities import validate_capacities
-from repro.kernels import RoundWorkspace, get_backend, resolve_workspace
+from repro.kernels import (
+    KernelBackend,
+    RoundWorkspace,
+    get_backend,
+    resolve_workspace,
+)
 from repro.utils.rng import RngFactory, as_generator, choice_without_replacement
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -258,6 +263,8 @@ class SampledRun:
     ``t`` from the paper's parameter line.  A phase whose budget is at
     least ``max_degree`` is in the exact regime: it skips the sampler
     and decides from the exact aggregates (see :meth:`run_phase`).
+    ``backend`` runs every round and segment reduction of the run
+    (``None``: the scoped default at construction).
     """
 
     def __init__(
@@ -274,9 +281,11 @@ class SampledRun:
         record_estimates: bool = True,
         workspace: Optional[RoundWorkspace] = None,
         initial_exponents: Optional[np.ndarray] = None,
+        backend: Optional[KernelBackend] = None,
     ):
         self.graph = graph
         self.workspace = resolve_workspace(graph, workspace)
+        self.backend = backend or get_backend()
         self.capacities = validate_capacities(graph, capacities).astype(np.float64)
         self.epsilon = check_fraction(epsilon, "epsilon")
         self.block = check_positive_int(block, "block")
@@ -324,7 +333,10 @@ class SampledRun:
 
     def _exact_beta_u(self, beta_vals: np.ndarray) -> np.ndarray:
         """Exact β_u = Σ_{v∈N_u} β_v (phase boundaries only)."""
-        return self.graph.left_segment_sum(beta_vals[self.graph.left_adj])
+        g = self.graph
+        return self.backend.segment_sum(
+            beta_vals[g.left_adj], g.left_indptr, layout=g.left_layout
+        )
 
     def build_phase_groups(self) -> tuple[SideGroups, SideGroups]:
         """Line 2 of Algorithm 2: partition every neighbourhood by the
@@ -357,7 +369,7 @@ class SampledRun:
         ``pooled``: per row, |N_w|/|pooled sample| · pooled sample sum
         (the paper's literal line-5/6 rescale).
         """
-        backend = get_backend()
+        backend = self.backend
         n_groups = groups.n_groups
         gid = groups.position_group_ids()
         chosen_gid = gid[positions]
@@ -441,7 +453,11 @@ class SampledRun:
             # The round kernel's exact x/alloc: the exact regime's
             # decisions, the Lemma 12/13 checks and the final output.
             x_true, alloc_true = compute_x_alloc(
-                g, self.beta_exp, self.log1p_eps, workspace=self.workspace
+                g,
+                self.beta_exp,
+                self.log1p_eps,
+                workspace=self.workspace,
+                backend=self.backend,
             )
             beta_vals, _ = self._beta_values_shifted()
             if exact:

@@ -8,8 +8,9 @@ Examples::
     python -m repro.experiments all --scale smoke
     python -m repro.experiments --list
 
-``--backend`` / ``--substrate`` select the engine driving every solve
-(a :class:`repro.api.SolverConfig` activated for the run).  Every run
+``--backend`` / ``--substrate`` select the kernel backend and MPC
+substrate driving every solve (validated as a
+:class:`repro.api.SolverConfig`, applied as the run's scoped default).  Every run
 checks its experiment's claim; a failed claim prints
 ``<id>: claim failed: …`` to stderr, the remaining experiments still
 run, and the exit status is 1.

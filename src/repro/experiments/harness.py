@@ -143,9 +143,16 @@ def _run_unchecked(exp_id, scale, seed, config) -> Table:
     if config is None:
         table = spec.run(scale=scale, seed=seed)
     else:
-        from repro.api import Engine
+        from contextlib import ExitStack
 
-        with Engine(config):
+        from repro.kernels import use_backend
+        from repro.mpc.substrate import use_substrate
+
+        with ExitStack() as scope:
+            if config.backend is not None:
+                scope.enter_context(use_backend(config.backend))
+            if config.substrate is not None:
+                scope.enter_context(use_substrate(config.substrate))
             table = spec.run(scale=scale, seed=seed)
         if config.backend is not None or config.substrate is not None:
             table.add_note(
@@ -167,10 +174,11 @@ def run_experiment(
     """Run one experiment and check its claim, optionally under an
     engine configuration.
 
-    ``config`` is the harness's driver selection: when given, the run
-    executes inside an activated :class:`repro.api.Engine`, so the
-    config's kernel backend and MPC substrate drive every solve the
-    experiment performs.  The selection is recorded as a table note so persisted
+    ``config`` is the harness's driver selection: when given, its
+    kernel backend and MPC substrate are the scoped default
+    (:func:`~repro.kernels.use_backend`,
+    :func:`~repro.mpc.use_substrate`) of every solve the experiment
+    performs.  The selection is recorded as a table note so persisted
     results say which engine produced them.  Raises
     :class:`ClaimFailed` when the table contradicts the claim.
     """

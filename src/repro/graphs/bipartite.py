@@ -6,8 +6,8 @@ endpoints.  A dual-CSR layout (one adjacency per side, each slot
 carrying the global edge id) lets every per-round step be expressed as
 segment operations — row reductions over contiguous neighbourhood
 slices and bincount scatters — following the vectorize-don't-loop
-idiom of the domain guides.  The segment helpers delegate to the
-pluggable kernel layer (:mod:`repro.kernels`, DESIGN.md §6); each
+idiom of the domain guides.  The segment operations live in the
+pluggable kernel backends (:mod:`repro.kernels`, DESIGN.md §6); each
 graph lazily caches one :class:`~repro.kernels.SegmentLayout` per side
 holding the slot-owner gather indices and ``reduceat`` offsets the
 optimized backend reuses across rounds.
@@ -35,7 +35,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro import kernels
 from repro.kernels import SegmentLayout
 from repro.utils.validation import check_integer_array, check_nonnegative_int
 
@@ -215,29 +214,6 @@ class BipartiteGraph:
         undirected graph, so the analysis modules consume this view.
         """
         return self.edge_u.copy(), self.edge_v + self.n_left
-
-    # ------------------------------------------------------------------
-    # Segment helpers used by the allocation inner loops
-    # ------------------------------------------------------------------
-    def left_segment_sum(self, per_slot: np.ndarray) -> np.ndarray:
-        """Sum a per-L-slot array within each left vertex's CSR row."""
-        return kernels.segment_sum(per_slot, self.left_indptr, layout=self.left_layout)
-
-    def right_segment_sum(self, per_slot: np.ndarray) -> np.ndarray:
-        """Sum a per-R-slot array within each right vertex's CSR row."""
-        return kernels.segment_sum(per_slot, self.right_indptr, layout=self.right_layout)
-
-    def left_segment_max(self, per_slot: np.ndarray, empty: float) -> np.ndarray:
-        """Max within each left row; ``empty`` fills degree-0 rows."""
-        return kernels.segment_max(
-            per_slot, self.left_indptr, empty, layout=self.left_layout
-        )
-
-    def right_segment_max(self, per_slot: np.ndarray, empty: float) -> np.ndarray:
-        """Max within each right row; ``empty`` fills degree-0 rows."""
-        return kernels.segment_max(
-            per_slot, self.right_indptr, empty, layout=self.right_layout
-        )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -12,8 +12,9 @@ in the same four segment primitives over a CSR side:
 * ``scatter_add``  — the bincount scatter back to vertices.
 
 This package isolates those primitives behind a backend registry
-(:func:`get_backend`; selected by ``repro.api.SolverConfig(backend=...)``
-or scoped with :func:`use_backend`) with three built-in
+(:func:`get_backend`; selected by ``repro.api.SolverConfig(backend=...)``,
+which travels with the config to every round, or scoped with
+:func:`use_backend` for code that takes no config) with three built-in
 implementations:
 
 * ``"reference"`` — plain NumPy, operation-for-operation identical to
@@ -79,41 +80,5 @@ __all__ = [
     "transplant_workspace",
     "attach_workspace",
     "proportional_round",
-    "segment_sum",
-    "segment_max",
-    "segment_softmax_shifted",
-    "expand_rows",
-    "scatter_add",
 ]
 
-
-# ----------------------------------------------------------------------
-# Module-level dispatchers: the convenience surface most consumers use.
-# Each resolves the active backend at call time so a selection affects
-# all call sites uniformly.
-# ----------------------------------------------------------------------
-def segment_sum(per_slot, indptr, *, layout=None):
-    """Row sums of a CSR-aligned array; empty rows yield 0."""
-    return get_backend().segment_sum(per_slot, indptr, layout=layout)
-
-
-def segment_max(per_slot, indptr, empty, *, layout=None):
-    """Row maxima of a CSR-aligned array; empty rows yield ``empty``."""
-    return get_backend().segment_max(per_slot, indptr, empty, layout=layout)
-
-
-def segment_softmax_shifted(exp_slots, indptr, scale, *, layout=None):
-    """Normalized per-slot weights ``exp((e - rowmax(e))·scale) / rowsum``."""
-    return get_backend().segment_softmax_shifted(
-        exp_slots, indptr, scale, layout=layout
-    )
-
-
-def expand_rows(per_row, indptr, *, layout=None):
-    """Broadcast a per-row array to CSR slots (repeat / gather)."""
-    return get_backend().expand_rows(per_row, indptr, layout=layout)
-
-
-def scatter_add(index, *, weights=None, minlength=0):
-    """Scatter-add ``weights`` (or 1s) into ``minlength`` bins."""
-    return get_backend().scatter_add(index, weights=weights, minlength=minlength)

@@ -15,9 +15,10 @@ agrees to a few ulps wherever fusion folds row sums sequentially
 instead of numpy's SIMD/pairwise order — the parity suite pins both
 tiers.
 
-Selection: ``repro.api.SolverConfig(backend=...)`` on an
-:class:`repro.api.Engine`, or :func:`use_backend` as a scoped switch
-(tests, benchmarks).  The default is ``"optimized"``.  Backends can
+Selection: ``repro.api.SolverConfig(backend=...)`` travels with the
+config down to every round (:func:`get_backend` resolves the name);
+:func:`use_backend` sets the scoped default for code that takes no
+config.  The default is ``"optimized"``.  Backends can
 be *registered yet unavailable* on a host (``native`` needs a C
 compiler):
 :func:`backend_availability` reports the reason, and resolving an
@@ -29,7 +30,7 @@ See DESIGN.md §6 and §11.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -329,6 +330,8 @@ class OptimizedBackend(KernelBackend):
 # ----------------------------------------------------------------------
 _FACTORIES: Dict[str, Callable[[], KernelBackend]] = {}
 _PROBES: Dict[str, Callable[[], "tuple[bool, Optional[str]]"]] = {}
+# name -> (factory, instance); a re-registered factory invalidates it.
+_INSTANCES: Dict[str, "tuple[Callable[[], KernelBackend], KernelBackend]"] = {}
 _ACTIVE: Optional[KernelBackend] = None
 
 
@@ -410,51 +413,42 @@ def backend_availability(name: Optional[str] = None) -> Dict[str, Optional[str]]
     return out
 
 
-def _resolve(name_or_backend: Union[str, KernelBackend]) -> KernelBackend:
-    if isinstance(name_or_backend, KernelBackend):
-        return name_or_backend
+def get_backend(name: Optional[str] = None) -> KernelBackend:
+    """The backend registered as ``name``, one memoized instance per
+    name (a ``native`` selection loads its library once per process).
+
+    ``name=None`` gives the scoped default: the backend of the
+    innermost :func:`use_backend` block, else ``"optimized"``.
+    """
+    if name is None:
+        if _ACTIVE is not None:
+            return _ACTIVE
+        name = DEFAULT_BACKEND
     try:
-        factory = _FACTORIES[name_or_backend]
+        factory = _FACTORIES[name]
     except KeyError:
         raise ValueError(
-            f"unknown kernel backend {name_or_backend!r}; "
-            f"available: {available_backends()}"
+            f"unknown kernel backend {name!r}; available: {available_backends()}"
         ) from None
-    return factory()
-
-
-def get_backend() -> KernelBackend:
-    """The active backend (``"optimized"`` until something installs
-    another)."""
-    global _ACTIVE
-    if _ACTIVE is None:
-        _ACTIVE = _resolve(DEFAULT_BACKEND)
-    return _ACTIVE
-
-
-def _set_backend(name_or_backend: Union[str, KernelBackend]) -> KernelBackend:
-    """Install a backend globally; returns the previous one.
-
-    The one setter behind :meth:`repro.api.Engine.activate` /
-    :meth:`~repro.api.Engine.close` and :func:`use_backend`.  The
-    active backend is **process-global, not thread-local**: do not
-    switch backends while runs are stepping on other threads.
-    """
-    global _ACTIVE
-    previous = get_backend()
-    _ACTIVE = _resolve(name_or_backend)
-    return previous
+    cached = _INSTANCES.get(name)
+    if cached is None or cached[0] is not factory:
+        cached = _INSTANCES[name] = (factory, factory())
+    return cached[1]
 
 
 @contextmanager
-def use_backend(name_or_backend: Union[str, KernelBackend]):
-    """Context manager: run a block under a specific backend.
+def use_backend(name: str):
+    """Context manager: the scoped default backend for code that takes
+    no config (the tests' backend matrix, the experiments harness,
+    benchmarks).  A config's ``backend`` always wins over it.
 
-    Process-global while active — see :func:`_set_backend`'s threading
-    caveat.
+    Process-global while active, not thread-local: do not switch it
+    while runs without a config are stepping on other threads.
     """
-    previous = _set_backend(name_or_backend)
+    global _ACTIVE
+    backend = get_backend(name)
+    previous, _ACTIVE = _ACTIVE, backend
     try:
-        yield get_backend()
+        yield backend
     finally:
-        _set_backend(previous)
+        _ACTIVE = previous

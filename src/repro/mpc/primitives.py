@@ -34,7 +34,6 @@ from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
-from repro.kernels import scatter_add
 from repro.mpc.cluster import MPCCluster
 from repro.mpc.columnar import ColumnarCluster, Shipment
 from repro.mpc.columns import ColumnBatch
@@ -103,9 +102,8 @@ def route_by_key(
     After this round all records sharing a key are co-located, which is
     the precondition for any per-key local computation (the MPC
     group-by).  With ``return_histogram=True`` the per-destination
-    record histogram is additionally computed (via the shared
-    :func:`repro.kernels.scatter_add` primitive) so callers can track
-    routing skew — the MPC driver records its peak in the ledger.
+    record histogram is additionally computed (one ``np.bincount``)
+    so callers can track routing skew — the MPC driver records its peak in the ledger.
 
     On an object cluster ``key_fn`` is the per-record callable.  On a
     columnar cluster it is a column name (or ``None`` to use each
@@ -131,7 +129,7 @@ def route_by_key(
     cluster.exchange(mapper, label=label)
     if destinations is None:
         return None
-    return scatter_add(
+    return np.bincount(
         np.asarray(destinations, dtype=np.int64), minlength=n
     ).astype(np.int64)
 
@@ -167,7 +165,7 @@ def _route_by_key_columnar(
     flat = (
         np.concatenate(all_dst) if all_dst else np.empty(0, dtype=np.int64)
     )
-    return scatter_add(flat, minlength=M).astype(np.int64)
+    return np.bincount(flat, minlength=M).astype(np.int64)
 
 
 # ----------------------------------------------------------------------

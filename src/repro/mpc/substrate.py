@@ -15,8 +15,9 @@ The contract, mirroring the kernel-backend contract (§6.3): both
 substrates execute the **same communication pattern** and therefore
 produce bit-identical round ledgers, budget violations, and numeric
 trajectories — the parity suite asserts it.  Selection mirrors the
-kernel backends: ``repro.api.SolverConfig(substrate=...)`` on an
-:class:`repro.api.Engine`, or :func:`use_substrate` as a scoped switch.
+kernel backends: ``repro.api.SolverConfig(substrate=...)`` travels with
+the config to every faithful solve; :func:`use_substrate` sets the
+scoped default for code that takes no config.
 """
 
 from __future__ import annotations
@@ -70,35 +71,22 @@ def _validate(name: str) -> str:
 
 
 def get_substrate() -> str:
-    """The active substrate name (``"columnar"`` until something
-    installs another)."""
-    global _ACTIVE
-    if _ACTIVE is None:
-        _ACTIVE = DEFAULT_SUBSTRATE
-    return _ACTIVE
-
-
-def _set_substrate(name: str) -> str:
-    """Install a substrate globally; returns the previous one.
-
-    The one setter behind :meth:`repro.api.Engine.activate` /
-    :meth:`~repro.api.Engine.close` and :func:`use_substrate`;
-    process-global like the kernel-backend selection.
-    """
-    global _ACTIVE
-    previous = get_substrate()
-    _ACTIVE = _validate(name)
-    return previous
+    """The scoped default substrate name: the innermost
+    :func:`use_substrate` block's, else ``"columnar"``."""
+    return _ACTIVE or DEFAULT_SUBSTRATE
 
 
 @contextmanager
 def use_substrate(name: str):
-    """Context manager: build clusters on a specific substrate."""
-    previous = _set_substrate(name)
+    """Context manager: the scoped default substrate for code that
+    takes no config; a config's ``substrate`` always wins over it.
+    Process-global while active, like :func:`repro.kernels.use_backend`."""
+    global _ACTIVE
+    previous, _ACTIVE = _ACTIVE, _validate(name)
     try:
-        yield get_substrate()
+        yield name
     finally:
-        _set_substrate(previous)
+        _ACTIVE = previous
 
 
 def make_cluster(
@@ -108,6 +96,6 @@ def make_cluster(
     strict: bool = True,
     substrate: str | None = None,
 ):
-    """Build a cluster on ``substrate`` (``None`` → the active one)."""
+    """Build a cluster on ``substrate`` (``None`` → the scoped default)."""
     name = _validate(substrate) if substrate is not None else get_substrate()
     return _FACTORIES[name](n_machines, words_per_machine, strict)

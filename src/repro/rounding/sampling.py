@@ -22,7 +22,6 @@ import numpy as np
 from repro.core.fractional import FractionalAllocation
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.capacities import validate_capacities
-from repro.kernels import scatter_add
 from repro.utils.rng import as_generator, spawn
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -85,8 +84,8 @@ def round_once(
     rng = as_generator(seed)
     sampled = rng.random(graph.n_edges) < (x / SAMPLING_DIVISOR)
 
-    left_deg = scatter_add(graph.edge_u[sampled], minlength=graph.n_left)
-    right_deg = scatter_add(graph.edge_v[sampled], minlength=graph.n_right)
+    left_deg = np.bincount(graph.edge_u[sampled], minlength=graph.n_left)
+    right_deg = np.bincount(graph.edge_v[sampled], minlength=graph.n_right)
     heavy_left = left_deg > 1
     heavy_right = right_deg > caps
 

@@ -85,11 +85,9 @@ def _shard_worker(index: int, task_queue, result_queue, config: SolverConfig) ->
     Runs until a ``("shutdown",)`` message.  Module-level so every
     start method (fork/spawn/forkserver) can import it.
     """
-    from repro.api.engine import Engine
     from repro.api.report import AllocationReport
     from repro.serve.session import AllocationSession
 
-    engine = Engine(config).activate()
     attached: dict[str, Any] = {}
     sessions: dict[str, AllocationSession] = {}
     counters = {"batches": 0, "replays": 0, "solves": 0}
@@ -216,7 +214,6 @@ def _shard_worker(index: int, task_queue, result_queue, config: SolverConfig) ->
     finally:
         for att in attached.values():
             att.close()
-        engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -245,8 +242,8 @@ class ShardedExecutor:
         Number of shard processes.  Each owns the sessions of the
         instances hashing to it.
     config:
-        The :class:`~repro.api.SolverConfig` every worker activates and
-        builds sessions from (defaults: ``SolverConfig()``).
+        The :class:`~repro.api.SolverConfig` every worker builds its
+        sessions from (defaults: ``SolverConfig()``).
     start_method:
         ``multiprocessing`` start method; default prefers ``fork``
         (cheap, Linux) and falls back to ``spawn``.

@@ -4,7 +4,7 @@ The evaluation pipeline that turns the repo's one-shot experiments
 into systematic studies (ROADMAP "experiment orchestration")::
 
     spec  = SweepSpec(name="backends", families=("slow_spread",),
-                      sizes=(48, 96), config_axes={"backend": (None, "numpy")})
+                      sizes=(48, 96), config_axes={"backend": ("reference", "optimized")})
     run_sweep(spec, "out/backends")                  # resumable, per-cell records
     records = load_records("out/backends")           # extract stage
     print(comparison_table(records, rows="backend", cols="n").to_ascii())

@@ -235,40 +235,54 @@ def test_engine_rounding_copies_override(instance):
 
 
 # ----------------------------------------------------------------------
-# Engine lifecycle: scoped backend/substrate activation
+# The config's backend reaches every path, with or without ``with``
 # ----------------------------------------------------------------------
 
-def test_engine_context_scopes_backend_selection():
-    from repro.kernels import get_backend
+def _solve_as_service_tenant(engine, instance, store_dir):
+    import asyncio
 
-    before = type(get_backend()).__name__
-    with Engine(backend="reference"):
-        assert type(get_backend()).__name__ == "ReferenceBackend"
-    assert type(get_backend()).__name__ == before
+    from repro.graphs.io import instance_to_json
+
+    service = engine.open_service(store_dir)
+
+    async def tenant():
+        try:
+            opened = await service.handle_message(
+                {"op": "open", "instance": json.loads(instance_to_json(instance))}
+            )
+            return await service.handle_message(
+                {"op": "solve", "instance_hash": opened["instance_hash"]}
+            )
+        finally:
+            await service.stop()
+
+    assert asyncio.run(tenant())["ok"]
 
 
-def test_engine_context_scopes_substrate_selection():
-    from repro.mpc.substrate import get_substrate
+@pytest.mark.parametrize("path", ["session", "dynamic", "service"])
+def test_config_backend_reaches_every_path(instance, tmp_path, monkeypatch, path):
+    from repro.kernels import ReferenceBackend, get_backend
 
-    before = get_substrate()
-    other = "object" if before != "object" else "columnar"
-    with Engine(substrate=other):
-        assert get_substrate() == other
-    assert get_substrate() == before
+    rounds = []
+    reference_round = ReferenceBackend.proportional_round
 
+    def spy(self, *args, **kwargs):
+        rounds.append(self.name)
+        return reference_round(self, *args, **kwargs)
 
-def test_engine_activate_close_pair():
-    from repro.kernels import get_backend
-
-    before = type(get_backend()).__name__
-    engine = Engine(backend="reference").activate()
-    try:
-        assert type(get_backend()).__name__ == "ReferenceBackend"
-        engine.activate()  # idempotent
-    finally:
-        engine.close()
-    assert type(get_backend()).__name__ == before
-    engine.close()  # second close is a no-op
+    # OptimizedBackend does not inherit from ReferenceBackend, so the
+    # spy sees reference rounds only.
+    monkeypatch.setattr(ReferenceBackend, "proportional_round", spy)
+    engine = Engine(SolverConfig(backend="reference", boost=False, seed=1))
+    with use_backend("optimized"):  # the scoped default, pinned
+        if path == "session":
+            engine.open_session(instance).solve()
+        elif path == "dynamic":
+            engine.open_dynamic(instance).resolve()
+        else:
+            _solve_as_service_tenant(engine, instance, tmp_path)
+        assert rounds and set(rounds) == {"reference"}
+        assert get_backend().name == "optimized"
 
 
 def test_engine_rejects_non_config():

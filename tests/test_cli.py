@@ -92,26 +92,47 @@ def test_cli_solve_wrong_format(tmp_path, capsys):
 # Engine-selection flags
 # ----------------------------------------------------------------------
 
-def test_cli_backend_flag(instance_file, capsys):
-    from repro.kernels import get_backend, use_backend
+def test_cli_backend_flag(instance_file, capsys, monkeypatch):
+    from repro.kernels import ReferenceBackend, get_backend, use_backend
 
-    # The flag installs the backend process-wide; the scope restores it.
-    with use_backend(get_backend()):
+    rounds = []
+    reference_round = ReferenceBackend.proportional_round
+
+    def spy(self, *args, **kwargs):
+        rounds.append(self.name)
+        return reference_round(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReferenceBackend, "proportional_round", spy)
+    # The flag's backend runs the solve; the scoped default is untouched.
+    with use_backend("optimized"):
         assert cli_main([
             "solve", str(instance_file), "--no-boost", "--backend", "reference",
         ]) == 0
-        assert type(get_backend()).__name__ == "ReferenceBackend"
+        assert rounds and set(rounds) == {"reference"}
+        assert get_backend().name == "optimized"
     json.loads(capsys.readouterr().out)
 
 
-def test_cli_substrate_flag(instance_file, capsys):
+def test_cli_substrate_flag(instance_file, capsys, monkeypatch):
+    import repro.core.pipeline as pipeline_mod
     from repro.mpc.substrate import get_substrate, use_substrate
 
-    with use_substrate(get_substrate()):
+    substrates = []
+    solve_mpc = pipeline_mod.solve_allocation_mpc
+
+    def spy(*args, **kwargs):
+        substrates.append(kwargs.get("substrate"))
+        return solve_mpc(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_mod, "solve_allocation_mpc", spy)
+    # The flag's substrate reaches the fractional solve; the scoped
+    # default is untouched.
+    with use_substrate("columnar"):
         assert cli_main([
             "solve", str(instance_file), "--no-boost", "--substrate", "object",
         ]) == 0
-        assert get_substrate() == "object"
+        assert substrates == ["object"]
+        assert get_substrate() == "columnar"
     json.loads(capsys.readouterr().out)
 
 

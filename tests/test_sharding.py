@@ -465,14 +465,17 @@ class TestFleetLifecycle:
 
     def test_engine_close_shuts_fleet_down(self, instance):
         before = set(_leaked_segments())
-        engine = Engine(seed=2).activate()
-        engine.batch(instance, _requests(2), executor="process", workers=2)
-        fleet = engine._fleet
-        assert fleet is not None
-        engine.close()
+        with Engine(seed=2) as engine:
+            engine.batch(instance, _requests(2), executor="process", workers=2)
+            fleet = engine._fleet
+            assert fleet is not None
         assert engine._fleet is None
         assert set(_leaked_segments()) == before
         assert fleet._closed
+        # Outside ``with`` the fleet lives for one call only.
+        engine.batch(instance, _requests(1), executor="process", workers=1)
+        assert engine._fleet is None
+        assert set(_leaked_segments()) == before
 
     def test_process_executor_rejects_sessions(self, instance):
         engine = Engine()
